@@ -42,7 +42,9 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from repro.cluster.partition import Partitioner
 from repro.core.config import NattoConfig
 from repro.net.payload import (
+    CommitTxn,
     ConditionResolved,
+    NattoReadAndPrepare,
     NattoVoteYes,
     PartitionValuesEvent,
     ReadOkEpoch,
@@ -217,31 +219,34 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
     # ------------------------------------------------------------------
     # Arrival
 
-    def handle_read_and_prepare(self, payload: dict, src: str) -> Future:
-        if payload["txn"] in self._abort_tombstones:
-            reason = self._abort_tombstones.pop(payload["txn"])
+    def handle_read_and_prepare(
+        self, payload: NattoReadAndPrepare, src: str
+    ) -> Future:
+        txn = payload.txn
+        if txn in self._abort_tombstones:
+            reason = self._abort_tombstones.pop(txn)
             obs = self.sim.obs
             if obs.enabled:
-                obs.tracer.refuse(reason, node=self.name, txn=payload["txn"])
+                obs.tracer.refuse(reason, node=self.name, txn=txn)
             reply = Future()
             reply.set_result(Refusal(reason_value(reason)))
             return reply
-        self._rap_seen.add(payload["txn"])
+        self._rap_seen.add(txn)
         pid = self.partition_id()
         slices = self.partitioner.group_keys
         info = NattoTxn(
-            txn=payload["txn"],
-            ts=payload["ts"],
-            priority=Priority(payload["priority"]),
-            reads=slices(payload["full_reads"]).get(pid, []),
-            writes=slices(payload["full_writes"]).get(pid, []),
-            full_reads=payload["full_reads"],
-            full_writes=payload["full_writes"],
-            coordinator=payload["coordinator"],
-            client=payload["client"],
-            participants=payload["participants"],
-            arrival_estimates=payload["arrival_estimates"],
-            max_owd=payload["max_owd"],
+            txn=txn,
+            ts=payload.ts,
+            priority=Priority(payload.priority),
+            reads=slices(payload.full_reads).get(pid, []),
+            writes=slices(payload.full_writes).get(pid, []),
+            full_reads=payload.full_reads,
+            full_writes=payload.full_writes,
+            coordinator=payload.coordinator,
+            client=payload.client,
+            participants=payload.participants,
+            arrival_estimates=payload.arrival_estimates,
+            max_owd=payload.max_owd,
             reply=Future(),
         )
         if self._late_violation(info):
@@ -410,7 +415,13 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
 
     def _dispatch_due(self) -> None:
         self._dispatch_timer = None
-        while self.queue and self.clock.now() >= self.queue[0].ts:
+        now = self.sim.now
+        while self.queue and (
+            self.clock.now() >= self.queue[0].ts
+            # A re-arm delay below half an ulp of ``now`` would fire at
+            # this same instant forever: the head is as due as it gets.
+            or now + self.clock.until(self.queue[0].ts) == now
+        ):
             self._dispatch(self.queue.pop(0))
         self._schedule_dispatch()
 
@@ -659,18 +670,20 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
     # ------------------------------------------------------------------
     # Outcome
 
-    def handle_commit_txn(self, payload: dict, src: str) -> None:
-        txn = payload["txn"]
-        if not payload["decision"]:
+    def handle_commit_txn(self, payload: CommitTxn, src: str) -> None:
+        txn = payload.txn
+        if not payload.decision:
+            # Only CommitTxnReason carries a reason.
+            reason = getattr(payload, "reason", None)
             if txn not in self._rap_seen:
                 # The abort overtook the read-and-prepare; refuse it on
                 # arrival instead of leaving a stuck prepared mark.
-                self._abort_tombstones[txn] = payload.get("reason")
+                self._abort_tombstones[txn] = reason
             self._resolve_conditions(txn, committed=False)
-            self._remove_everywhere(txn, reason=payload.get("reason"))
+            self._remove_everywhere(txn, reason=reason)
             self._drain_waiting()
             return
-        writes = payload.get("writes") or {}
+        writes = payload.writes or {}
         self._resolve_conditions(txn, committed=True)
         if self.natto.lecsf:
             # ECSF: visible and released at commit arrival; replication

@@ -2,13 +2,16 @@
 
 Messages carry a method name (dispatched to ``handle_<method>`` on the
 destination node for RPCs, or to ``handle_message`` for one-way sends), a
-payload dict, and an estimated wire size used by the bandwidth pipes.
+payload declared in :mod:`repro.net.payload`, and an estimated wire size
+used by the bandwidth pipes.
 
 Sizing: keys and values in the evaluation are 64-byte strings; a
 message's wire size is a fixed header plus the payload's estimated
 serialized size.  The estimate is deliberately simple — it only needs to
 rank systems by bytes pushed (Carousel Basic replicates write data twice,
 Carousel Fast fans out to every replica, ...), which drives Figure 12.
+:func:`estimate_size` is the reference size of a serialized value;
+declared payloads precompute the same number arithmetically.
 
 ``Message`` is a hand-written ``__slots__`` class rather than a
 dataclass: one is allocated per network send, and the dataclass
@@ -21,7 +24,7 @@ needs it at dispatch time anyway (byte accounting + bandwidth pipes).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 #: Fixed per-message overhead (TCP/IP + gRPC framing, roughly).
 HEADER_BYTES = 120
@@ -96,7 +99,7 @@ class Message:
     def __init__(
         self,
         method: str,
-        payload: Dict[str, Any],
+        payload: Any,
         src: str,
         dst: str,
         msg_id: Optional[int] = None,
@@ -108,16 +111,16 @@ class Message:
         self.dst = dst
         self.msg_id = next(_message_ids) if msg_id is None else msg_id
         self.reply_to = reply_to
-        #: Estimated bytes on the wire (header + payload); computed once
-        #: — the payload is never mutated after construction.  Payload
-        #: classes (:mod:`repro.net.payload`) precompute their size and
-        #: are the common case, so their slot is read directly; plain
-        #: dicts (and anything else without the attribute) take the
-        #: estimate walk.
+        #: Estimated bytes on the wire (header + payload).  Declared
+        #: payloads precompute their size and are never mutated.
         try:
             self.wire_size = HEADER_BYTES + payload.wire_size
         except AttributeError:
-            self.wire_size = HEADER_BYTES + estimate_size(payload)
+            raise TypeError(
+                f"message {method!r} carries an undeclared payload of type "
+                f"{type(payload).__name__}; declare its shape with "
+                "repro.net.payload.declare"
+            ) from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -19,8 +19,10 @@ Two primitives:
   :class:`~repro.sim.Future`.  The handler may return a plain value
   (respond now) or a Future (respond when it resolves).
 
-Handlers receive ``(payload, src_name)`` and are looked up as
-``handle_<method>`` on the destination node.
+Handlers receive ``(payload, src_name)``, where the payload is a declared
+:mod:`repro.net.payload` object read by attribute, and are looked up as
+``handle_<method>`` on the destination node.  Faults all come from a
+:class:`repro.faults.FaultInjector` attached with :meth:`Network.set_faults`.
 """
 
 from __future__ import annotations
@@ -83,12 +85,11 @@ _REPLY_METHOD: Dict[str, str] = {}
 def _txn_tag(message: Message) -> Optional[str]:
     """The transaction-attempt id a message belongs to, if tagged.
 
-    Protocol payloads carry ``"txn": "<txn_id>.<attempt>"``; replies and
+    Protocol payloads carry ``txn = "<txn_id>.<attempt>"``; replies and
     infrastructure traffic (probes, Raft internals) are untagged and get
     no per-message span — metrics still count them.
     """
-    txn = message.payload.get("txn")
-    return txn if isinstance(txn, str) else None
+    return getattr(message.payload, "txn", None)
 
 
 class Network:
@@ -121,9 +122,6 @@ class Network:
         # delivered in send order — a later message never overtakes an
         # earlier one, though it can be delayed behind it.
         self._last_arrival: Dict[Tuple[str, str], float] = {}
-        # Fault injection: a predicate (src_name, dst_name) -> bool;
-        # True drops the message.  Used to partition nodes in tests.
-        self._drop_filter = None
         # Declarative fault schedules (repro.faults): when attached, the
         # injector's network-fault state is consulted per message while
         # at least one fault window is open.  None outside fault runs,
@@ -160,12 +158,12 @@ class Network:
     # ------------------------------------------------------------------
     # Primitives
 
-    def send(self, src: Node, dst_name: str, method: str, payload: dict) -> None:
+    def send(self, src: Node, dst_name: str, method: str, payload: Any) -> None:
         """Fire-and-forget message."""
         message = Message(method, payload, src.name, dst_name)
         self._dispatch(message)
 
-    def call(self, src: Node, dst_name: str, method: str, payload: dict) -> Future:
+    def call(self, src: Node, dst_name: str, method: str, payload: Any) -> Future:
         """Request/response RPC; resolves with the handler's response."""
         message = Message(method, payload, src.name, dst_name)
         future = Future()
@@ -174,33 +172,7 @@ class Network:
         return future
 
     # ------------------------------------------------------------------
-    # Delivery machinery
-
-    # ------------------------------------------------------------------
     # Fault injection
-
-    def set_drop_filter(self, predicate) -> None:
-        """Drop every message for which ``predicate(src, dst)`` is True.
-
-        Pass ``None`` to heal.  Messages already in flight still arrive
-        (the fault cuts the wire, it does not vaporize packets mid-air
-        — close enough to a real partition for protocol testing).
-        """
-        self._drop_filter = predicate
-
-    def partition(self, group_a, group_b) -> None:
-        """Convenience: drop all traffic between two sets of node names."""
-        group_a, group_b = set(group_a), set(group_b)
-
-        def predicate(src: str, dst: str) -> bool:
-            return (src in group_a and dst in group_b) or (
-                src in group_b and dst in group_a
-            )
-
-        self.set_drop_filter(predicate)
-
-    def heal(self) -> None:
-        self.set_drop_filter(None)
 
     def set_faults(self, faults) -> None:
         """Attach (or detach with ``None``) a declarative fault state.
@@ -213,23 +185,12 @@ class Network:
         """
         self._faults = faults
 
+    # ------------------------------------------------------------------
+    # Delivery machinery
+
     def _dispatch(self, message: Message) -> None:
         sim = self.sim
         obs = sim.obs
-        if self._drop_filter is not None and self._drop_filter(
-            message.src, message.dst
-        ):
-            self.messages_dropped += 1
-            if obs.enabled:
-                obs.metrics.counter("net.messages_dropped").inc()
-                obs.tracer.event(
-                    "drop",
-                    node=message.src,
-                    txn=_txn_tag(message),
-                    method=message.method,
-                    dst=message.dst,
-                )
-            return
         nodes = self._nodes
         src = nodes[message.src]
         dst = nodes[message.dst]
@@ -318,7 +279,7 @@ class Network:
         if message.reply_to is not None:
             future = self._pending_calls.pop(message.reply_to, None)
             if future is not None and not future.done:
-                future.set_result(message.payload.get("result"))
+                future.set_result(message.payload.result)
             return
         cache = self._handler_cache
         key = (message.dst, message.method)

@@ -8,6 +8,7 @@ from repro.cluster.partition import Partitioner
 from repro.core.config import natto_pa, natto_ts
 from repro.core.server import NattoParticipant
 from repro.net.network import Network
+from repro.net.payload import NattoReadAndPrepare
 from repro.net.topology import azure_topology
 from repro.raft.node import RaftConfig
 from repro.sim import Simulator
@@ -43,18 +44,10 @@ def build(config):
 
 
 def rap(txn, ts, priority, keys=("k",)):
-    return {
-        "txn": txn,
-        "ts": ts,
-        "priority": int(priority),
-        "full_reads": list(keys),
-        "full_writes": list(keys),
-        "coordinator": "coord",
-        "client": "client",
-        "participants": [0],
-        "arrival_estimates": {0: ts},
-        "max_owd": 0.05,
-    }
+    return NattoReadAndPrepare(
+        txn, ts, int(priority), list(keys), list(keys), "coord", "client",
+        [0], {0: ts}, 0.05,
+    )
 
 
 def test_priority_order():
@@ -86,8 +79,8 @@ def test_high_evicts_medium_and_low_in_queue():
     )
     server.handle_read_and_prepare(rap("thigh", 0.22, Priority.HIGH), "client")
     assert server.stats["priority_aborts"] == 2
-    assert r_low.value["ok"] is False
-    assert r_mid.value["ok"] is False
+    assert r_low.value.ok is False
+    assert r_mid.value.ok is False
     assert [t.txn for t in server.queue] == ["thigh"]
 
 
@@ -99,7 +92,7 @@ def test_medium_evicts_low_but_not_high():
     server.handle_read_and_prepare(rap("thigh", 0.21, Priority.HIGH), "client")
     server.handle_read_and_prepare(rap("tmid", 0.22, Priority.MEDIUM), "client")
     # tlow evicted (by high and/or medium); thigh untouched; tmid queued.
-    assert r_low.value["ok"] is False
+    assert r_low.value.ok is False
     assert [t.txn for t in server.queue] == ["thigh", "tmid"]
 
 
@@ -109,7 +102,7 @@ def test_arriving_low_yields_to_queued_medium():
     r_low = server.handle_read_and_prepare(
         rap("tlow", 0.29, Priority.LOW), "client"
     )
-    assert r_low.value["ok"] is False  # priority-aborted on arrival
+    assert r_low.value.ok is False  # priority-aborted on arrival
     assert server.stats["priority_aborts"] == 1
 
 

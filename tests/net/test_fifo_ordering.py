@@ -5,7 +5,10 @@ import numpy as np
 from repro.cluster import Node
 from repro.net import Network, azure_topology
 from repro.net.delay import ParetoDelay
+from repro.net.payload import declare
 from repro.sim import Simulator
+
+Seq = declare("Seq", "n:num")
 
 
 class Sink(Node):
@@ -14,7 +17,7 @@ class Sink(Node):
         self.received = []
 
     def handle_message(self, message):
-        self.received.append(message.payload["n"])
+        self.received.append(message.payload.n)
 
 
 def build(cv=0.3, seed=0):
@@ -31,7 +34,7 @@ def build(cv=0.3, seed=0):
 def test_same_pair_messages_never_reorder():
     sim, net, a, b = build()
     for i in range(300):
-        net.send(a, "b", "m", {"n": i})
+        net.send(a, "b", "m", Seq(i))
     sim.run()
     assert b.received == list(range(300))
 
@@ -42,7 +45,7 @@ def test_fifo_holds_across_seeds_and_heavy_jitter():
 
         def staggered():
             for i in range(100):
-                net.send(a, "b", "m", {"n": i})
+                net.send(a, "b", "m", Seq(i))
                 yield 0.001
 
         sim.spawn(staggered())
@@ -56,8 +59,8 @@ def test_different_pairs_are_independent():
     # Saturate a->b ordering with a huge early message delay via jitter;
     # a->c deliveries must not be held behind a->b's.
     for i in range(50):
-        net.send(a, "b", "m", {"n": i})
-        net.send(a, "c", "m", {"n": i})
+        net.send(a, "b", "m", Seq(i))
+        net.send(a, "c", "m", Seq(i))
     sim.run()
     assert b.received == list(range(50))
     assert c.received == list(range(50))
@@ -68,12 +71,12 @@ def test_replies_are_fifo_too():
 
     class Echo(Sink):
         def handle_echo(self, payload, src):
-            return payload["n"]
+            return payload.n
 
     echo = net.register(Echo(sim, "echo", "SG"))
     results = []
     for i in range(100):
-        net.call(a, "echo", "echo", {"n": i}).add_done_callback(
+        net.call(a, "echo", "echo", Seq(i)).add_done_callback(
             lambda f: results.append(f.value)
         )
     sim.run()

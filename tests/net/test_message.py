@@ -1,6 +1,11 @@
 """Tests for message sizing and identity."""
 
+import pytest
+
 from repro.net.message import HEADER_BYTES, Message, estimate_size
+from repro.net.payload import declare
+
+Note = declare("Note", "a:str")
 
 
 def test_scalar_sizes():
@@ -41,17 +46,22 @@ def test_opaque_object_self_reported_size():
 
 
 def test_wire_size_includes_header_and_is_cached():
-    message = Message("m", {"a": "xx"}, "src", "dst")
+    message = Message("m", Note("xx"), "src", "dst")
     first = message.wire_size
     assert first == HEADER_BYTES + 1 + 2
-    # Cached: same object, same answer, no recompute of a mutated dict.
-    message.payload["a"] = "x" * 100
+    # Cached: same object, same answer, no recompute of a mutated payload.
+    message.payload.a = "x" * 100
     assert message.wire_size == first
 
 
+def test_undeclared_payload_is_rejected_by_name():
+    with pytest.raises(TypeError, match=r"'ping'.*\bdict\b"):
+        Message("ping", {"a": "xx"}, "src", "dst")
+
+
 def test_message_ids_are_unique_and_increasing():
-    a = Message("m", {}, "s", "d")
-    b = Message("m", {}, "s", "d")
+    a = Message("m", Note(""), "s", "d")
+    b = Message("m", Note(""), "s", "d")
     assert b.msg_id > a.msg_id
 
 

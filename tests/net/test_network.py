@@ -5,7 +5,14 @@ import pytest
 
 from repro.cluster import Node
 from repro.net import LossConfig, Network, NetworkConfig, azure_topology
+from repro.net.payload import declare
 from repro.sim import Future, Simulator
+
+# Tiny payloads for these generic tests, declared like protocol ones.
+Value = declare("Value", "x:any")
+Wait = declare("Wait", "wait:num")
+Blob = declare("Blob", "data:str")
+Empty = declare("Empty")
 
 
 class Echo(Node):
@@ -19,11 +26,11 @@ class Echo(Node):
         self.received.append((message.method, message.payload, self.sim.now))
 
     def handle_echo(self, payload, src):
-        return {"echoed": payload["x"], "from": src}
+        return {"echoed": payload.x, "from": src}
 
     def handle_deferred(self, payload, src):
         future = Future()
-        self.sim.schedule(payload["wait"], lambda: future.set_result("later"))
+        self.sim.schedule(payload.wait, lambda: future.set_result("later"))
         return future
 
 
@@ -38,7 +45,7 @@ def test_one_way_message_delivered_after_propagation():
     sim, net = build()
     a = net.register(Echo(sim, "a", "VA"))
     b = net.register(Echo(sim, "b", "SG"))
-    net.send(a, "b", "ping", {"x": 1})
+    net.send(a, "b", "ping", Value(1))
     sim.run()
     assert len(b.received) == 1
     method, payload, at = b.received[0]
@@ -52,7 +59,7 @@ def test_rpc_round_trip_takes_full_rtt():
     a = net.register(Echo(sim, "a", "VA"))
     net.register(Echo(sim, "b", "SG"))
     done_at = []
-    future = net.call(a, "b", "echo", {"x": 42})
+    future = net.call(a, "b", "echo", Value(42))
     future.add_done_callback(lambda f: done_at.append(sim.now))
     sim.run()
     assert future.value["echoed"] == 42
@@ -63,7 +70,7 @@ def test_rpc_handler_may_return_future():
     sim, net = build()
     a = net.register(Echo(sim, "a", "VA"))
     net.register(Echo(sim, "b", "WA"))
-    future = net.call(a, "b", "deferred", {"wait": 0.5})
+    future = net.call(a, "b", "deferred", Wait(0.5))
     sim.run()
     assert future.value == "later"
     # RTT 67ms + 500ms server-side wait.
@@ -74,7 +81,7 @@ def test_intra_dc_messages_are_fast():
     sim, net = build()
     a = net.register(Echo(sim, "a", "VA"))
     net.register(Echo(sim, "b", "VA"))
-    future = net.call(a, "b", "echo", {"x": 1})
+    future = net.call(a, "b", "echo", Value(1))
     sim.run()
     assert future.done
     assert sim.now < 0.002
@@ -91,8 +98,8 @@ def test_service_time_delays_handling_and_queues():
     sim, net = build()
     a = net.register(Echo(sim, "a", "VA"))
     b = net.register(Echo(sim, "b", "VA", service_time=0.010))
-    net.send(a, "b", "m1", {})
-    net.send(a, "b", "m2", {})
+    net.send(a, "b", "m1", Empty())
+    net.send(a, "b", "m2", Empty())
     sim.run()
     t1 = b.received[0][2]
     t2 = b.received[1][2]
@@ -111,7 +118,7 @@ def test_loss_inflates_latency_tail():
     a = net.register(Echo(sim, "a", "VA"))
     b = net.register(Echo(sim, "b", "WA"))
     for i in range(200):
-        net.send(a, "b", f"m{i}", {})
+        net.send(a, "b", f"m{i}", Empty())
     sim.run()
     times = [at for _, _, at in b.received]
     # With 30% loss some messages must have paid at least one RTO.
@@ -126,9 +133,9 @@ def test_bandwidth_pipe_serializes_large_messages():
     sim, net = build(config=config)
     a = net.register(Echo(sim, "a", "VA"))
     b = net.register(Echo(sim, "b", "WA"))
-    big = {"data": "x" * 500}
-    net.send(a, "b", "m1", dict(big))
-    net.send(a, "b", "m2", dict(big))
+    big = Blob("x" * 500)
+    net.send(a, "b", "m1", big)
+    net.send(a, "b", "m2", big)
     sim.run()
     t1, t2 = b.received[0][2], b.received[1][2]
     # Transmission time of one message is ~62 ms at 10 KB/s.
@@ -139,7 +146,7 @@ def test_network_counts_traffic():
     sim, net = build()
     a = net.register(Echo(sim, "a", "VA"))
     net.register(Echo(sim, "b", "WA"))
-    net.send(a, "b", "x", {"k": "v"})
+    net.send(a, "b", "x", Value("v"))
     sim.run()
     assert net.messages_sent == 1
     assert net.bytes_sent > 100  # header alone is 120 bytes

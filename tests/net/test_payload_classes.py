@@ -1,16 +1,17 @@
-"""Payload classes must be indistinguishable from the dicts they replaced.
+"""Declared payloads must size exactly like the dicts they stand for.
 
 Three layers of protection:
 
-* **Wire-size parity** — every class's arithmetic ``wire_size`` must
+* **Wire-size parity** — every payload's arithmetic ``wire_size`` must
   equal :func:`~repro.net.message.estimate_size` over ``as_dict()``
-  exactly.  Wire size feeds the bandwidth pipes, so a one-byte slip
-  shifts every downstream timestamp and silently changes experiment
-  output.  A completeness guard fails if a payload class is added to
-  :mod:`repro.net.payload` without a representative instance here.
-* **Dict-compatible reads** — handlers (and their unit tests) use
-  subscripts, ``get`` and ``in`` on payloads; equality against the
-  literal dict form must hold both ways.
+  exactly, for hand-picked instances and, by property, for arbitrary
+  field values of every size kind.  Wire size feeds the bandwidth
+  pipes, so a one-byte slip shifts every downstream timestamp and
+  silently changes experiment output.  A completeness guard fails if a
+  payload is declared in :mod:`repro.net.payload` without a
+  representative instance here.
+* **Spec validation** — :func:`~repro.net.payload.declare` rejects
+  unknown size kinds and bad field names at import time.
 * **End-to-end fixture digests** — tiny single-point runs of all four
   system families, pinned to sha256 fingerprints over the full
   transaction record stream.  Any behavioral drift in the payload/
@@ -19,13 +20,15 @@ Three layers of protection:
 
 from __future__ import annotations
 
-import inspect
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import payload as payload_mod
 from repro.net.message import HEADER_BYTES, Message, estimate_size
 from repro.net.payload import (
+    DECLARED,
+    SIZE_KINDS,
     TAPIR_ACK,
     TAPIR_VOTE_OK,
     AbortRequest,
@@ -70,6 +73,7 @@ from repro.net.payload import (
     Vote,
     VoteReason,
     WoundEvent,
+    declare,
 )
 
 # Representative instances: at least one per class, plus variants for
@@ -144,17 +148,15 @@ INSTANCES = [
 ]
 
 
-def _all_payload_classes():
-    return [
-        cls
-        for _, cls in inspect.getmembers(payload_mod, inspect.isclass)
-        if issubclass(cls, Payload) and cls is not Payload
-    ]
+#: Every payload the protocol declares (tests declare their own too).
+PROTOCOL_PAYLOADS = [
+    cls for cls in DECLARED if cls.__module__ == payload_mod.__name__
+]
 
 
 def test_every_payload_class_has_a_representative_instance():
     covered = {type(p) for p in INSTANCES}
-    missing = [c.__name__ for c in _all_payload_classes() if c not in covered]
+    missing = [c.__name__ for c in PROTOCOL_PAYLOADS if c not in covered]
     assert not missing, f"no wire-size coverage for: {missing}"
 
 
@@ -165,33 +167,87 @@ def test_wire_size_matches_estimate_of_dict_form(instance):
     assert instance.wire_size == estimate_size(instance.as_dict())
 
 
-@pytest.mark.parametrize(
-    "instance", INSTANCES, ids=lambda p: type(p).__name__
+# ----------------------------------------------------------------------
+# Property: arbitrary values of every size kind.
+
+_text = st.text(max_size=12)
+_number = st.one_of(st.integers(), st.floats(allow_nan=False))
+_any = st.recursive(
+    st.one_of(st.none(), st.booleans(), _number, _text, st.binary(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(_text, st.integers()), inner, max_size=4),
+    ),
+    max_leaves=12,
 )
-def test_dict_compatible_reads(instance):
-    as_dict = instance.as_dict()
-    for key, value in as_dict.items():
-        assert instance[key] == value
-        assert instance.get(key) == value
-        assert key in instance
-    assert instance.get("no_such_key") is None
-    assert instance.get("no_such_key", "fallback") == "fallback"
-    assert "no_such_key" not in instance
-    with pytest.raises(KeyError):
-        instance["no_such_key"]
-    # Equality matches the replaced dict in both directions, and payloads
-    # stay unhashable (the dicts they replaced were too).
-    assert instance == as_dict
-    assert as_dict == instance.as_dict()
-    assert instance != {**as_dict, "extra": 1}
-    with pytest.raises(TypeError):
-        hash(instance)
+#: A value strategy per size kind, covering None for the ``opt_*``
+#: kinds and empty as well as loaded containers.
+KIND_VALUES = {
+    "num": _number,
+    "bool": st.booleans(),
+    "str": _text,
+    "opt_str": st.one_of(st.none(), _text),
+    "strs": st.lists(_text, max_size=5),
+    "opt_strs": st.one_of(st.none(), st.lists(_text, max_size=5)),
+    "ids": st.lists(st.integers(), max_size=5),
+    "pairs": st.dictionaries(st.integers(), _number, max_size=5),
+    "versions": st.dictionaries(_text, st.integers(), max_size=5),
+    # A nested payload reports its own size (Reply carries results).
+    "any": st.one_of(_any, st.builds(ReadOk, st.dictionaries(_text, _text))),
+}
+
+
+def test_every_size_kind_has_a_value_strategy():
+    assert set(KIND_VALUES) == set(SIZE_KINDS)
+
+
+@pytest.mark.parametrize("cls", PROTOCOL_PAYLOADS, ids=lambda c: c.__name__)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_wire_size_matches_estimate_for_any_field_values(cls, data):
+    values = [data.draw(KIND_VALUES[kind], label=f) for f, kind in cls._spec]
+    instance = cls(*values)
+    assert instance.wire_size == estimate_size(instance.as_dict())
+
+
+# ----------------------------------------------------------------------
+# The factory
+
+
+def test_declare_rejects_unknown_kinds_and_bad_names():
+    with pytest.raises(ValueError, match="unknown size kind"):
+        declare("Bad", "txn:string")
+    with pytest.raises(ValueError, match="unknown size kind"):
+        declare("Bad", "txn")
+    with pytest.raises(ValueError, match="bad field name"):
+        declare("Bad", "class:str")
+    with pytest.raises(ValueError, match="duplicate field"):
+        declare("Bad", "txn:str txn:num")
+
+
+def test_declared_class_shape():
+    assert not hasattr(Payload, "__getitem__")
+    assert not hasattr(Payload, "get")
+    instance = VoteReason("t", 1, "no", [0], "c", None)
+    assert instance.as_dict() == {
+        "txn": "t", "partition": 1, "vote": "no", "participants": [0],
+        "client": "c", "reason": None,
+    }
+    with pytest.raises(AttributeError):
+        instance.extra = 1  # __slots__: no per-instance dict
+    # Constants are class attributes and part of the wire form.
+    assert DecisionEvent("t", True).as_dict() == {
+        "txn": "t", "committed": True, "kind": "decision",
+    }
 
 
 def test_payload_equality_across_objects():
     assert ReleaseLocks("t1") == ReleaseLocks("t1")
     assert ReleaseLocks("t1") != ReleaseLocks("t2")
     assert Refusal(None) != ReleaseLocks("t1")
+    with pytest.raises(TypeError):
+        hash(ReleaseLocks("t1"))
 
 
 def test_message_wire_size_uses_payload_precompute():
@@ -200,11 +256,6 @@ def test_message_wire_size_uses_payload_precompute():
     assert message.wire_size == HEADER_BYTES + estimate_size(
         request.as_dict()
     )
-    # Dict payloads still take the estimate walk, to the same number.
-    dict_message = Message(
-        "append_entries", request.as_dict(), "raft-0", "raft-1"
-    )
-    assert dict_message.wire_size == message.wire_size
 
 
 def test_raft_append_entries_round_trip_over_network():
@@ -240,9 +291,8 @@ def test_raft_append_entries_round_trip_over_network():
     payload, src = received[0]
     assert src == "leader"
     assert payload is sent  # no copy on the wire
-    assert payload == sent.as_dict()
-    assert payload["entries"] == [(2, {"op": "w"})]
-    assert payload["leader_commit"] == 3
+    assert payload.entries == [(2, {"op": "w"})]
+    assert payload.leader_commit == 3
 
 
 # ----------------------------------------------------------------------

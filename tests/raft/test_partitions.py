@@ -4,11 +4,15 @@ The paper's experiments run failure-free, but the Raft substrate is a
 real consensus implementation; these tests exercise the failure
 behaviour the experiments rely on *not* needing: leader isolation,
 re-election on the majority side, step-down and log repair on heal.
+A partition is a :mod:`repro.faults` blackhole window in both
+directions between the isolated replica and the rest, so messages sent
+across it are dropped, not held.
 """
 
 import numpy as np
 
 from repro.cluster.placement import PartitionPlacement
+from repro.faults import FaultInjector, FaultSchedule, blackhole
 from repro.net import Network, local_cluster_topology
 from repro.raft import RaftConfig, ReplicationGroup, Role
 from repro.sim import Simulator
@@ -35,14 +39,27 @@ def settle(sim, until):
     sim.run(until=until)
 
 
+def isolate(sim, net, name, others, heal_at):
+    """Drop all traffic between ``name`` and ``others`` from now until
+    simulated time ``heal_at``."""
+    start = sim.now
+    events = []
+    for other in others:
+        events.append(blackhole(start, heal_at - start, name, other))
+        events.append(blackhole(start, heal_at - start, other, name))
+    FaultInjector(sim, net, FaultSchedule(tuple(events))).attach()
+    settle(sim, start)  # open the window before anything else is sent
+
+
 def test_majority_side_elects_new_leader_when_leader_isolated():
     sim, net, group = build()
     settle(sim, 2.0)
     (old_leader,) = leaders(group)
     others = [r for r in group.replicas if r is not old_leader]
 
-    net.partition({old_leader.name}, {r.name for r in others})
+    isolate(sim, net, old_leader.name, [r.name for r in others], 6.0)
     settle(sim, 6.0)
+    assert net.messages_dropped > 0  # the blackhole windows were open
     majority_leaders = [r for r in others if r.role is Role.LEADER]
     assert len(majority_leaders) == 1
     assert majority_leaders[0].current_term > old_leader.current_term
@@ -53,10 +70,8 @@ def test_isolated_leader_steps_down_on_heal():
     settle(sim, 2.0)
     (old_leader,) = leaders(group)
     others = [r for r in group.replicas if r is not old_leader]
-    net.partition({old_leader.name}, {r.name for r in others})
-    settle(sim, 6.0)
-    net.heal()
-    settle(sim, 10.0)
+    isolate(sim, net, old_leader.name, [r.name for r in others], 6.0)
+    settle(sim, 10.0)  # healed at 6.0
     assert old_leader.role is not Role.LEADER
     assert len(leaders(group)) == 1
 
@@ -72,7 +87,7 @@ def test_uncommitted_minority_entries_are_discarded_on_heal():
     settle(sim, 3.0)
     assert future.done
 
-    net.partition({old_leader.name}, {r.name for r in others})
+    isolate(sim, net, old_leader.name, [r.name for r in others], 9.0)
     # Old leader accepts a proposal it can never commit.
     orphan = old_leader.propose("orphaned")
     settle(sim, 7.0)
@@ -84,8 +99,7 @@ def test_uncommitted_minority_entries_are_discarded_on_heal():
     settle(sim, 9.0)
     assert replacement.done
 
-    net.heal()
-    settle(sim, 15.0)
+    settle(sim, 15.0)  # healed at 9.0
     # Log repair: every replica converges to the new leader's log; the
     # orphaned entry is gone.
     reference = [e.payload for e in new_leader.log.snapshot()]
@@ -99,8 +113,8 @@ def test_no_commit_possible_without_majority():
     sim, net, group = build()
     settle(sim, 2.0)
     (leader,) = leaders(group)
-    others = {r.name for r in group.replicas if r is not leader}
-    net.partition({leader.name}, others)
+    others = [r.name for r in group.replicas if r is not leader]
+    isolate(sim, net, leader.name, others, 8.0)
     stranded = leader.propose("no-quorum")
     settle(sim, 8.0)
     assert not stranded.done
@@ -111,10 +125,9 @@ def test_cluster_survives_repeated_partitions():
     settle(sim, 2.0)
     for round_number in range(3):
         (leader,) = leaders(group)
-        others = {r.name for r in group.replicas if r is not leader}
-        net.partition({leader.name}, others)
-        settle(sim, sim.now + 4.0)
-        net.heal()
+        others = [r.name for r in group.replicas if r is not leader]
+        isolate(sim, net, leader.name, others, sim.now + 4.0)
+        settle(sim, sim.now + 4.0)  # heals here
         settle(sim, sim.now + 4.0)
     assert len(leaders(group)) == 1
     # And the healed cluster still commits.
