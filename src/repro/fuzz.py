@@ -23,10 +23,11 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.harness.systems import ALL_SYSTEMS
 from repro.verify.fuzz import (
     FUZZ_SYSTEMS,
     ScenarioSpec,
-    replay_artifact,
+    load_artifact,
     run_scenario,
     shrink,
     write_failure_artifact,
@@ -62,8 +63,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--systems",
         nargs="+",
+        choices=ALL_SYSTEMS,
+        metavar="SYSTEM",
         default=list(FUZZ_SYSTEMS),
-        help=f"system families to fuzz (default: {', '.join(FUZZ_SYSTEMS)})",
+        help="registered systems to fuzz "
+        f"(default: {', '.join(FUZZ_SYSTEMS)})",
     )
     parser.add_argument(
         "--out",
@@ -93,7 +97,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.replay is not None:
-        outcome = replay_artifact(args.replay)
+        try:
+            spec = load_artifact(args.replay)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            parser.error(
+                f"cannot replay {args.replay}: not a readable fuzz failure "
+                f"artifact ({type(exc).__name__}: {exc})"
+            )
+        if spec.system not in ALL_SYSTEMS:
+            parser.error(
+                f"cannot replay {args.replay}: unknown system {spec.system!r}"
+            )
+        outcome = run_scenario(spec)
         print(outcome.log_line())
         print(outcome.report.summary())
         return 0 if outcome.ok else 1

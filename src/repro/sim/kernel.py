@@ -13,8 +13,8 @@ Design notes
 * ``post``/``post_at`` exist because most events are never cancelled:
   message deliveries, process steps and open-loop ticks fire exactly
   once.  Skipping the Timer allocation and the cancellation bookkeeping
-  for them roughly doubles raw event throughput (see
-  ``benchmarks/perf/bench_sweep.py``).
+  for them roughly doubles raw event throughput (``sim.events_per_wall_s``
+  in ``perfbench/`` measures the loop end to end).
 * Cancellation is lazy: a cancelled :class:`Timer` stays in the heap and
   is skipped when popped.  This keeps ``schedule`` and ``cancel`` O(log n)
   and O(1) respectively.  The kernel counts cancelled-but-still-heaped
@@ -25,7 +25,9 @@ Design notes
   parameters use seconds; reporting code converts to milliseconds.
 * ``sim.obs`` is the run's :class:`~repro.obs.core.Observability` bundle
   (default: the disabled :data:`~repro.obs.core.NULL_OBS`); instrumented
-  components guard on ``sim.obs.enabled``.
+  components guard on ``sim.obs.enabled``.  There is one run loop: it
+  counts fired callbacks in a local and adds them to the
+  ``sim.events_fired`` counter when ``run`` returns, if tracing is on.
 """
 
 from __future__ import annotations
@@ -285,59 +287,36 @@ class Simulator:
         the loop drains the heap.
         """
         self._stopped = False
-        if self.obs.enabled:
-            self._run_instrumented(until)
-            return
         # The innermost loop of every experiment: locals for the heap
         # and pop, an infinite sentinel instead of a None check per
         # event, and a single type test to split Timer entries (which
         # need cancellation bookkeeping) from posted bare callbacks.
+        # ``fired`` counts callbacks run (not cancelled skips); it
+        # reaches the ``sim.events_fired`` metric once per call.
         limit = float("inf") if until is None else until
         heap = self._heap
         pop = heappop
         timer_class = Timer
-        while heap and not self._stopped:
-            entry = heap[0]
-            deadline = entry[0]
-            if deadline > limit:
-                break
-            pop(heap)
-            target = entry[2]
-            if target.__class__ is timer_class:
-                if target._cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                target._sim = None
+        fired = 0
+        try:
+            while heap and not self._stopped:
+                entry = heap[0]
+                deadline = entry[0]
+                if deadline > limit:
+                    break
+                pop(heap)
+                target = entry[2]
+                if target.__class__ is timer_class:
+                    if target._cancelled:
+                        self._cancelled_in_heap -= 1
+                        continue
+                    target._sim = None
+                    target = target._callback
                 self._now = deadline
-                target._callback()
-            else:
-                self._now = deadline
+                fired += 1
                 target()
-        if until is not None and self._now < until:
-            self._now = until
-
-    def _run_instrumented(self, until: Optional[float]) -> None:
-        """The ``run`` loop plus kernel metrics (tracing enabled)."""
-        obs = self.obs
-        fired = obs.metrics.counter("sim.events_fired")
-        depth = obs.metrics.gauge("sim.heap_depth")
-        heap = self._heap
-        while heap and not self._stopped:
-            deadline, _, target = heap[0]
-            if until is not None and deadline > until:
-                break
-            heapq.heappop(heap)
-            if target.__class__ is Timer:
-                if target._cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                target._sim = None
-            self._now = deadline
-            fired.inc()
-            depth.set(self.pending_events)
-            if target.__class__ is Timer:
-                target._callback()
-            else:
-                target()
+        finally:
+            if self.obs.enabled:
+                self.obs.metrics.counter("sim.events_fired").inc(fired)
         if until is not None and self._now < until:
             self._now = until

@@ -1,6 +1,6 @@
 """Declared payloads must size exactly like the dicts they stand for.
 
-Three layers of protection:
+Two layers of protection:
 
 * **Wire-size parity** — every payload's arithmetic ``wire_size`` must
   equal :func:`~repro.net.message.estimate_size` over ``as_dict()``
@@ -12,10 +12,9 @@ Three layers of protection:
   representative instance here.
 * **Spec validation** — :func:`~repro.net.payload.declare` rejects
   unknown size kinds and bad field names at import time.
-* **End-to-end fixture digests** — tiny single-point runs of all four
-  system families, pinned to sha256 fingerprints over the full
-  transaction record stream.  Any behavioral drift in the payload/
-  messaging layer shows up here as a digest mismatch.
+
+End-to-end behaviour of the payload layer is pinned by the ``fixture``
+fingerprints in ``tests/verify/FINGERPRINTS.json``.
 """
 
 from __future__ import annotations
@@ -293,43 +292,3 @@ def test_raft_append_entries_round_trip_over_network():
     assert payload is sent  # no copy on the wire
     assert payload.entries == [(2, {"op": "w"})]
     assert payload.leader_commit == 3
-
-
-# ----------------------------------------------------------------------
-# End-to-end behavior pins: tiny fixture runs, one per system family.
-
-#: Recorded from the pre-payload-conversion code path (dict payloads):
-#: the conversion — and any future change to this layer — must leave
-#: every family's full transaction record stream bit-identical.
-FIXTURE_DIGESTS = {
-    "2PL+2PC":
-        "c05d24fe62bdfcddcf0f1ecc90b4a4c3187c177f803f30e539aa8c551c9837b0",
-    "TAPIR":
-        "1995bd97fcb959b05fac9d116902b2b0decc9b2de697b893957b2ccd11301126",
-    "Carousel Basic":
-        "6ee04f0e311b82220d042c4605a7b063b3a7a212ecbedcebfefc11c69a8a775c",
-    "Natto-RECSF":
-        "d47a199f053adf3d36c70c3c1a6c3910730514e9575fb32df13b3d6860a37c98",
-}
-
-
-@pytest.mark.parametrize("system", sorted(FIXTURE_DIGESTS))
-def test_family_fixture_digest(system):
-    from repro.experiments.common import Scale
-    from repro.harness.experiment import ExperimentSettings
-    from repro.harness.parallel import PointSpec, WorkloadSpec, run_point
-    from repro.verify.fingerprint import fingerprint_result
-    from repro.workloads import YcsbTWorkload
-
-    scale = Scale("fixture", duration=1.0, trim=0.25, repeats=1, drain=3.0)
-    settings = scale.apply(ExperimentSettings()).scaled(seed=7)
-    spec = PointSpec(
-        system=system,
-        x=60,
-        input_rate=60.0,
-        workload=WorkloadSpec.of(YcsbTWorkload, num_keys=400),
-        settings=settings,
-        repeats=1,
-    )
-    repeated = run_point(spec)
-    assert fingerprint_result(repeated.results[0]) == FIXTURE_DIGESTS[system]

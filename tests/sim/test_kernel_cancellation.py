@@ -1,5 +1,6 @@
 """Cancellation bookkeeping: live-event counts and heap compaction."""
 
+from repro.obs.core import Observability
 from repro.sim import Simulator
 
 
@@ -112,3 +113,52 @@ def test_run_until_with_cancelled_head():
     sim.run(until=5.0)
     assert fired == [2]
     assert sim.now == 5.0
+
+
+def test_events_fired_counts_callbacks_that_ran():
+    """``sim.events_fired`` equals the callbacks that fired, across
+    several ``run`` calls and a ``stop``, excluding cancelled timers
+    whether compacted away or lazily skipped; and it matches the
+    outside count scheduled − pending − cancelled."""
+    sim = Simulator()
+    obs = Observability().attach(sim)
+    ran = []
+    cancels = 0
+
+    def cancel(timer):
+        nonlocal cancels
+        cancels += not timer.cancelled and timer._sim is not None
+        timer.cancel()
+
+    def check():
+        fired = obs.metrics.counter("sim.events_fired").value
+        assert fired == len(ran)
+        assert fired == sim._sequence - sim.pending_events - cancels
+
+    timers = [
+        sim.schedule(float(i + 1), lambda i=i: ran.append(i))
+        for i in range(100)
+    ]
+    for i in range(10):
+        sim.post(i + 0.5, lambda: ran.append("post"))
+    sim.schedule(30.5, lambda: (ran.append("stop"), sim.stop()))
+    for timer in timers[40:100]:
+        cancel(timer)  # cancelled entries dominate: the heap compacts
+    assert sim.heap_size - sim.pending_events < 60
+    sim.run(until=20.0)
+    check()
+
+    dead = sim.heap_size - sim.pending_events
+    cancel(timers[24])
+    cancel(timers[29])
+    assert sim.heap_size - sim.pending_events == dead + 2  # lazy skips
+    sim.run()  # returns at the stop
+    assert sim.now == 30.5
+    check()
+
+    cancel(timers[20])  # already fired: removes no event
+    cancel(timers[36])
+    sim.run()
+    check()
+    assert sim.pending_events == 0
+    assert len(ran) == 10 + 1 + 40 - 3

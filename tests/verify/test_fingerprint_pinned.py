@@ -1,11 +1,11 @@
-"""Pinned determinism fingerprints (tier-1 promotion of repro.verify.fingerprint).
+"""Pinned determinism fingerprints: the behaviour contract.
 
-Replicates the ``benchmarks/perf/bench_profile.py`` fingerprint recipe
-and checks the digests against the pinned ``FINGERPRINTS.json``.  Any
-change to simulation arithmetic, RNG consumption order, or protocol
-logic shows up here as a digest mismatch; deliberate changes must
-re-record via ``python benchmarks/perf/bench_profile.py
---record-fingerprints``.
+Every pin in ``FINGERPRINTS.json`` is one run of a
+:data:`repro.verify.fingerprint.RECIPES` recipe.  Any change to
+simulation arithmetic, RNG consumption order, or protocol logic shows
+up here as a digest mismatch; deliberate changes re-pin with
+``PYTHONPATH=src python -m repro.verify.fingerprint >
+tests/verify/FINGERPRINTS.json``.
 """
 
 import json
@@ -13,45 +13,27 @@ import pathlib
 
 import pytest
 
-from repro.experiments.common import Scale
-from repro.harness.experiment import ExperimentSettings
-from repro.harness.parallel import PointSpec, WorkloadSpec, run_point
-from repro.verify.fingerprint import fingerprint_result
-from repro.workloads import YcsbTWorkload
+from repro.verify.fingerprint import RECIPES
 
-FINGERPRINTS_PATH = (
-    pathlib.Path(__file__).resolve().parents[2]
-    / "benchmarks" / "perf" / "FINGERPRINTS.json"
+EXPECTED = json.loads(
+    pathlib.Path(__file__).with_name("FINGERPRINTS.json").read_text()
 )
 
-# Must mirror benchmarks/perf/bench_profile.py exactly — the pinned
-# digests are only meaningful under the identical recipe.
-FINGERPRINT_SYSTEMS = ("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-RECSF")
-FINGERPRINT_RATE = 80
-FINGERPRINT_KEYS = 600
-FINGERPRINT_SCALE = Scale("fp", duration=2.0, trim=0.5, repeats=1, drain=4.0)
 
-EXPECTED = json.loads(FINGERPRINTS_PATH.read_text())
+def test_every_recipe_system_is_pinned():
+    assert {
+        name: list(recipe.systems) for name, recipe in RECIPES.items()
+    } == {name: list(digests) for name, digests in EXPECTED.items()}
 
 
-def test_all_four_families_are_pinned():
-    assert set(EXPECTED) == set(FINGERPRINT_SYSTEMS)
-
-
-@pytest.mark.parametrize("system", FINGERPRINT_SYSTEMS)
-def test_fingerprint_matches_pinned(system):
-    settings = FINGERPRINT_SCALE.apply(ExperimentSettings()).scaled(seed=0)
-    spec = PointSpec(
-        system=system,
-        x=FINGERPRINT_RATE,
-        input_rate=float(FINGERPRINT_RATE),
-        workload=WorkloadSpec.of(YcsbTWorkload, num_keys=FINGERPRINT_KEYS),
-        settings=settings,
-        repeats=FINGERPRINT_SCALE.repeats,
-    )
-    digest = fingerprint_result(run_point(spec).results[0])
-    assert digest == EXPECTED[system], (
-        f"determinism fingerprint changed for {system}; if intentional, "
-        "re-record with benchmarks/perf/bench_profile.py "
-        "--record-fingerprints"
+@pytest.mark.parametrize(
+    "recipe,system",
+    [(name, system) for name, recipe in RECIPES.items()
+     for system in recipe.systems],
+)
+def test_fingerprint_matches_pinned(recipe, system):
+    digest = RECIPES[recipe].fingerprint(system)
+    assert digest == EXPECTED[recipe][system], (
+        f"determinism fingerprint changed for {recipe}/{system}; if "
+        "intentional, re-pin with python -m repro.verify.fingerprint"
     )

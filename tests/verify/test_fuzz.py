@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.faults import FaultSchedule, loss_burst
+from repro.fuzz import main as fuzz_main
 from repro.systems.twopl.server import TwoPLParticipant
 from repro.verify.fuzz import (
     FUZZ_SYSTEMS,
@@ -105,3 +106,33 @@ def test_failing_seed_shrinks_and_replays_identically(tmp_path, monkeypatch):
 def test_shrink_rejects_passing_scenarios():
     with pytest.raises(ValueError):
         shrink(ScenarioSpec(system="2PL+2PC", seed=1))
+
+
+def _cli_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        fuzz_main(argv)
+    assert exit_info.value.code == 2
+    return capsys.readouterr().err.strip().splitlines()[-1]
+
+
+def test_cli_rejects_an_unknown_system(capsys):
+    error = _cli_error(["--systems", "Bogus"], capsys)
+    assert "invalid choice: 'Bogus'" in error
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ('{"outcome": {}}', "KeyError: 'spec'"),
+        ("not json", "JSONDecodeError"),
+        ('{"spec": {"system": "Bogus", "seed": 1}}', "unknown system"),
+    ],
+)
+def test_cli_replay_rejects_a_malformed_artifact(
+    tmp_path, capsys, content, message
+):
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(content)
+    error = _cli_error(["--replay", str(artifact)], capsys)
+    assert error.startswith("python -m repro.fuzz: error: cannot replay")
+    assert message in error
