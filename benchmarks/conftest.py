@@ -10,7 +10,7 @@ shape.  Paper-scale runs: ``python -m repro.experiments <exhibit>
 
 import pytest
 
-from repro.experiments.common import Scale
+from repro.experiments import Scale
 
 #: The benchmark scale: short but long enough for stable p95s.
 BENCH_SCALE = Scale("bench-suite", duration=2.5, trim=0.6, repeats=1, drain=6.0)

@@ -5,7 +5,7 @@ under contention), but even at 40% variance Natto undercuts what the
 baselines post at zero variance.
 """
 
-from repro.experiments import figure11
+from repro.experiments import exhibits
 
 from benchmarks.conftest import run_once
 
@@ -14,7 +14,7 @@ VARIANCES = (0.0, 40.0)
 
 def test_fig11_delay_variance(benchmark, bench_scale):
     tables = run_once(
-        benchmark, lambda: figure11.run(scale=bench_scale, systems=("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-RECSF"), variances=VARIANCES)
+        benchmark, lambda: exhibits.run(exhibits.ROWS["fig11"], scale=bench_scale, systems=("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-RECSF"), grid=VARIANCES)
     )
     for table in tables.values():
         table.print()

@@ -5,7 +5,9 @@ every system, and Carousel Basic and Natto sit close together (the
 timestamp machinery costs little CPU).
 """
 
-from repro.experiments import figure14
+from dataclasses import replace
+
+from repro.experiments import exhibits
 
 from benchmarks.conftest import run_once
 
@@ -16,13 +18,16 @@ SYSTEMS = ("Carousel Basic", "Natto-RECSF")
 def test_fig14_throughput_scaling(benchmark, bench_scale):
     tables = run_once(
         benchmark,
-        lambda: figure14.run(
+        lambda: exhibits.run(
+            # Saturate with fewer events: pricier messages, less load.
+            replace(
+                exhibits.ROWS["fig14"],
+                offered_per_partition=1500,
+                service_time=150e-6,
+            ),
             scale=bench_scale,
             systems=SYSTEMS,
-            partitions=PARTITIONS,
-            # Saturate with fewer events: pricier messages, less load.
-            offered_per_partition=1500,
-            service_time=150e-6,
+            grid=PARTITIONS,
         ),
     )
     for table in tables.values():

@@ -6,7 +6,7 @@ below TAPIR and Carousel at 1500+ txn/s, while low-priority latency
 stays comparable at the same goodput.
 """
 
-from repro.experiments import figure7
+from repro.experiments import exhibits
 
 from benchmarks.conftest import run_once
 
@@ -18,7 +18,7 @@ RATES = (500, 2000)
 def test_fig7ef_smallbank(benchmark, bench_scale):
     tables = run_once(
         benchmark,
-        lambda: figure7.run_smallbank(scale=bench_scale, systems=SYSTEMS, rates=RATES),
+        lambda: exhibits.run(exhibits.ROWS["fig7e"], scale=bench_scale, systems=SYSTEMS, grid=RATES),
     )
     for table in tables.values():
         table.print()

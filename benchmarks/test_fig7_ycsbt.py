@@ -9,7 +9,7 @@ Shape assertions from the paper:
 * Natto's low-priority latency stays comparable to Carousel Basic's.
 """
 
-from repro.experiments import figure7
+from repro.experiments import exhibits
 
 from benchmarks.conftest import run_once
 
@@ -19,7 +19,7 @@ RATES = (50, 350)
 def test_fig7ab_ycsbt(benchmark, bench_scale):
     tables = run_once(
         benchmark,
-        lambda: figure7.run_ycsbt(scale=bench_scale, rates=RATES),
+        lambda: exhibits.run(exhibits.ROWS["fig7a"], scale=bench_scale, grid=RATES),
     )
     for table in tables.values():
         table.print()

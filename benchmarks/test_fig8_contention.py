@@ -6,13 +6,13 @@ its 0.65 value, and the mechanism ladder (LECSF -> PA -> CP -> RECSF)
 monotonically pays off for the high-priority tail.
 """
 
-from repro.experiments import figure8
+from repro.experiments import exhibits
 
 from benchmarks.conftest import run_once
 
 
 def test_fig8a_ycsbt(benchmark, bench_scale):
-    tables = run_once(benchmark, lambda: figure8.run_ycsbt(scale=bench_scale, zipfs=(0.65, 0.95), systems=("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-TS", "Natto-LECSF", "Natto-PA", "Natto-CP", "Natto-RECSF")))
+    tables = run_once(benchmark, lambda: exhibits.run(exhibits.ROWS["fig8a"], scale=bench_scale, grid=(0.65, 0.95), systems=("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-TS", "Natto-LECSF", "Natto-PA", "Natto-CP", "Natto-RECSF")))
     for table in tables.values():
         table.print()
     high = tables["high"]
@@ -31,7 +31,7 @@ def test_fig8a_ycsbt(benchmark, bench_scale):
 
 
 def test_fig8b_retwis(benchmark, bench_scale):
-    tables = run_once(benchmark, lambda: figure8.run_retwis(scale=bench_scale, zipfs=(0.65, 0.95), systems=("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-RECSF")))
+    tables = run_once(benchmark, lambda: exhibits.run(exhibits.ROWS["fig8b"], scale=bench_scale, grid=(0.65, 0.95), systems=("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-RECSF")))
     for table in tables.values():
         table.print()
     high = tables["high"]

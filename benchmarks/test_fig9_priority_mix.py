@@ -6,7 +6,7 @@ Natto-RECSF stays low until high-priority transactions dominate, and
 is not designed for a 100%-high-priority workload.
 """
 
-from repro.experiments import figure9
+from repro.experiments import exhibits
 
 from benchmarks.conftest import run_once
 
@@ -16,7 +16,7 @@ PERCENTAGES = (10, 60, 100)
 def test_fig9_priority_mix(benchmark, bench_scale):
     tables = run_once(
         benchmark,
-        lambda: figure9.run(scale=bench_scale, percentages=PERCENTAGES),
+        lambda: exhibits.run(exhibits.ROWS["fig9"], scale=bench_scale, grid=PERCENTAGES),
     )
     for table in tables.values():
         table.print()

@@ -1,7 +1,9 @@
 """Reproductions of every table and figure in the paper's evaluation.
 
-One module per exhibit; each exposes ``run(scale=...) -> dict of
-SeriesTable`` and can be invoked from the command line::
+Every sweep is one row of the exhibit table in
+:mod:`repro.experiments.exhibits`; ``exhibits.run(row, scale=...)``
+returns the row's tables by key.  Table 1 is a probe measurement
+(:mod:`repro.experiments.table1`).  From the command line::
 
     python -m repro.experiments fig7a --scale quick
     python -m repro.experiments fig11 --scale full
@@ -15,10 +17,10 @@ repeated 10x, which costs hours of host CPU on a simulator):
   shape (who wins, by what factor, where crossovers fall).
 * ``full``  — the paper's durations, repetitions, and full grids.
 
-The mapping from exhibits to modules lives in DESIGN.md; measured-vs-
+The mapping from exhibits to rows lives in DESIGN.md; measured-vs-
 paper numbers live in EXPERIMENTS.md.
 """
 
-from repro.experiments.common import SCALES, Scale
+from repro.experiments.exhibits import SCALES, Scale
 
 __all__ = ["SCALES", "Scale"]

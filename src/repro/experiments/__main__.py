@@ -12,59 +12,20 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from typing import Callable, Dict
+from typing import Dict, Tuple
 
-from repro.harness import experiment as experiment_module
-from repro.experiments import (
-    ablations,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    table1,
-)
+from repro.experiments import table1
+from repro.experiments.exhibits import ROWS, SCALES, run
+from repro.harness.systems import ALL_SYSTEMS
 
-EXHIBITS: Dict[str, Callable] = {
-    "ablations": lambda scale, systems, jobs: ablations.run(scale, jobs=jobs),
-    "table1": lambda scale, systems, jobs: table1.run(scale),
-    "fig7a": lambda scale, systems, jobs: figure7.run_ycsbt(
-        scale, systems, jobs=jobs
-    ),
-    "fig7c": lambda scale, systems, jobs: figure7.run_retwis(
-        scale, systems, jobs=jobs
-    ),
-    "fig7e": lambda scale, systems, jobs: figure7.run_smallbank(
-        scale, systems, jobs=jobs
-    ),
-    "fig8a": lambda scale, systems, jobs: figure8.run_ycsbt(
-        scale, systems, jobs=jobs
-    ),
-    "fig8b": lambda scale, systems, jobs: figure8.run_retwis(
-        scale, systems, jobs=jobs
-    ),
-    "fig9": lambda scale, systems, jobs: figure9.run(scale, systems, jobs=jobs),
-    "fig10": lambda scale, systems, jobs: figure10.run(
-        scale, systems, jobs=jobs
-    ),
-    "fig11": lambda scale, systems, jobs: figure11.run(
-        scale, systems, jobs=jobs
-    ),
-    "fig12": lambda scale, systems, jobs: figure12.run(
-        scale, systems, jobs=jobs
-    ),
-    "fig13": lambda scale, systems, jobs: figure13.run(
-        scale, systems, jobs=jobs
-    ),
-    "fig14": lambda scale, systems, jobs: figure14.run(
-        scale, systems, jobs=jobs
-    ),
+#: Exhibit name -> the exhibit-table rows it regenerates.  ``table1`` is
+#: a probe measurement, not a sweep.
+EXHIBITS: Dict[str, Tuple[str, ...]] = {
+    "table1": (),
+    "ablations": ("abl-margin", "abl-skip-rule", "abl-probes"),
+    **{name: (name,) for name in ROWS if name.startswith("fig")},
 }
 
 
@@ -80,15 +41,18 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--scale",
-        choices=("quick", "bench", "full"),
+        choices=tuple(SCALES),
         default="bench",
         help="run length/repetitions preset (default: bench)",
     )
     parser.add_argument(
         "--systems",
         nargs="+",
+        choices=ALL_SYSTEMS,
+        metavar="SYSTEM",
         default=None,
-        help="restrict to a subset of systems (paper labels)",
+        help="restrict to a subset of systems (paper labels: "
+        + ", ".join(ALL_SYSTEMS) + ")",
     )
     parser.add_argument(
         "--trace",
@@ -107,23 +71,22 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.trace is not None:
-        # Construction-time defaults: every ExperimentSettings built
-        # after this point carries the trace config with it, so worker
-        # processes never need to see these globals.
-        experiment_module.DEFAULT_TRACING = True
-        experiment_module.TRACE_DIR = args.trace
-        os.makedirs(args.trace, exist_ok=True)
-
     names = sorted(EXHIBITS) if args.exhibit == "all" else [args.exhibit]
     for name in names:
         started = time.time()
         print(f"\n##### {name} (scale={args.scale}) #####")
-        result = EXHIBITS[name](args.scale, args.systems, args.jobs)
-        if isinstance(result, dict):
-            for value in result.values():
-                if hasattr(value, "print"):
-                    value.print()
+        if name == "table1":
+            table1.run()
+        for row in EXHIBITS[name]:
+            tables = run(
+                ROWS[row],
+                args.scale,
+                args.systems,
+                jobs=args.jobs,
+                trace_dir=args.trace,
+            )
+            for table in tables.values():
+                table.print()
         print(f"##### {name} done in {time.time() - started:.0f}s #####")
     return 0
 

@@ -20,7 +20,6 @@ from repro.harness.experiment import (
     ExperimentSettings,
     RepeatedResult,
     run_experiment,
-    run_repeated,
     seed_schedule,
     slugify,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "run_experiment",
     "run_point",
     "run_points",
-    "run_repeated",
     "seed_schedule",
     "slugify",
 ]

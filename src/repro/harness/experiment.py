@@ -40,20 +40,6 @@ from repro.workloads.base import Workload
 SystemFactory = Callable[[], TransactionSystem]
 WorkloadFactory = Callable[[np.random.Generator], Workload]
 
-#: Process-wide default for :attr:`ExperimentSettings.tracing`; the
-#: experiments CLI flips this with ``--trace DIR`` so every run in the
-#: sweep is traced without threading a flag through each figure module.
-#: Resolved into each :class:`ExperimentSettings` at construction time
-#: (in the parent process), so parallel workers never consult it.
-DEFAULT_TRACING: bool = False
-
-#: Process-wide default for :attr:`ExperimentSettings.trace_dir`, set by
-#: the CLI's ``--trace DIR``.  Like :data:`DEFAULT_TRACING` it is only a
-#: construction-time default — the resolved value travels inside the
-#: settings object to workers, which never read this global.
-TRACE_DIR: Optional[str] = None
-
-
 def seed_schedule(base_seed: int, repeats: int) -> tuple:
     """Per-repetition seeds for ``repeats`` runs of base seed ``base_seed``.
 
@@ -86,14 +72,12 @@ class ExperimentSettings:
     drain: float = 15.0         # post-load settling time
     seed: int = 0
     #: Attach an :class:`~repro.obs.core.Observability` to the run's
-    #: simulator (spans, events, metrics).  Defaults to the module-level
-    #: :data:`DEFAULT_TRACING` so the CLI can switch whole sweeps.
-    tracing: bool = field(default_factory=lambda: DEFAULT_TRACING)
-    #: Directory for per-run trace exports when tracing is on; resolved
-    #: from the module-level :data:`TRACE_DIR` default at construction
-    #: time so the value travels with the settings into worker
-    #: processes.  ``None`` disables export.
-    trace_dir: Optional[str] = field(default_factory=lambda: TRACE_DIR)
+    #: simulator (spans, events, metrics).
+    tracing: bool = False
+    #: Directory for per-run trace exports when tracing is on; it
+    #: travels with the settings into worker processes.  ``None``
+    #: disables export.
+    trace_dir: Optional[str] = None
     #: Filename stem for this run's trace export, normally derived by
     #: the sweep machinery from (figure tag, system, x-value); the run's
     #: seed is always appended, which keeps names collision-free across
@@ -282,28 +266,3 @@ class RepeatedResult:
 
     def goodput(self, priority: Optional[Priority] = None) -> tuple:
         return self._ci([r.goodput(priority) for r in self.results])
-
-
-def run_repeated(
-    system_factory: SystemFactory,
-    workload_factory: WorkloadFactory,
-    input_rate: float,
-    settings: ExperimentSettings = ExperimentSettings(),
-    repeats: int = 3,
-) -> RepeatedResult:
-    """Repeat a run with independent seeds (paper: 10 repetitions).
-
-    Per-repetition seeds come from :func:`seed_schedule`, which derives
-    a collision-free seed for every (base seed, repetition) pair.
-    """
-    results = []
-    for seed in seed_schedule(settings.seed, repeats):
-        results.append(
-            run_experiment(
-                system_factory,
-                workload_factory,
-                input_rate,
-                settings.scaled(seed=seed),
-            )
-        )
-    return RepeatedResult(results[0].system_name, input_rate, results)

@@ -38,7 +38,8 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.harness.experiment import (
     ExperimentSettings,
     RepeatedResult,
-    run_repeated,
+    run_experiment,
+    seed_schedule,
 )
 from repro.harness.systems import make_system
 
@@ -130,24 +131,26 @@ class PointSpec:
 
 
 def run_point(spec: PointSpec) -> RepeatedResult:
-    """Run one point in-process, returning detached (transportable)
-    results.
+    """Run every repetition of one point in-process, returning detached
+    (transportable) results.
 
-    This is both the worker entry point and the ``jobs=1`` path, so the
-    two produce literally the same object graph.
+    Repetition seeds come from :func:`~repro.harness.experiment.seed_schedule`,
+    which derives a collision-free seed for every (base seed,
+    repetition) pair.  This is both the worker entry point and the
+    ``jobs=1`` path, so the two produce literally the same object graph.
     """
-    repeated = run_repeated(
-        spec.system_factory(),
-        spec.workload.factory(),
-        spec.input_rate,
-        spec.settings,
-        repeats=spec.repeats,
-    )
-    return RepeatedResult(
-        repeated.system_name,
-        repeated.input_rate,
-        [result.detach() for result in repeated.results],
-    )
+    system_factory = spec.system_factory()
+    workload_factory = spec.workload.factory()
+    results = [
+        run_experiment(
+            system_factory,
+            workload_factory,
+            spec.input_rate,
+            spec.settings.scaled(seed=seed),
+        ).detach()
+        for seed in seed_schedule(spec.settings.seed, spec.repeats)
+    ]
+    return RepeatedResult(results[0].system_name, spec.input_rate, results)
 
 
 def run_points(

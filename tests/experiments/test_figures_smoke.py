@@ -1,24 +1,14 @@
-"""Smoke tests for the experiment modules (tiny scale, subset grids).
+"""Smoke tests for the exhibit table (tiny scale, subset grids).
 
 These don't re-assert the paper's shapes — the benchmark suite does —
-they check that every figure module wires up, sweeps, and produces
+they check that every figure row wires up, sweeps, and produces
 well-formed tables.
 """
 
 import math
 
-from repro.experiments import (
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    table1,
-)
-from repro.experiments.common import Scale
+from repro.experiments import table1
+from repro.experiments.exhibits import ROWS, Scale, run
 
 TINY = Scale("tiny", duration=2.0, trim=0.5, repeats=1, drain=4.0)
 TWO = ("Carousel Basic", "Natto-RECSF")
@@ -38,56 +28,56 @@ def test_table1_matches_topology():
 
 
 def test_figure7_ycsbt(capsys):
-    tables = figure7.run_ycsbt(TINY, systems=TWO, rates=(50,))
+    tables = run(ROWS["fig7a"], TINY, systems=TWO, grid=(50,))
     _check(tables, 1)
 
 
 def test_figure7_retwis():
-    tables = figure7.run_retwis(TINY, systems=TWO, rates=(100,))
+    tables = run(ROWS["fig7c"], TINY, systems=TWO, grid=(100,))
     _check(tables, 1)
 
 
 def test_figure7_smallbank():
-    tables = figure7.run_smallbank(TINY, systems=TWO, rates=(200,))
+    tables = run(ROWS["fig7e"], TINY, systems=TWO, grid=(200,))
     _check(tables, 1)
 
 
 def test_figure8_sweeps_theta():
-    tables = figure8.run_ycsbt(TINY, systems=("Natto-RECSF",))
+    tables = run(ROWS["fig8a"], TINY, systems=("Natto-RECSF",))
     assert len(tables["high"].series["Natto-RECSF"]) == 4
 
 
 def test_figure9_percentages():
-    tables = figure9.run(TINY, systems=TWO, percentages=(10, 100))
+    tables = run(ROWS["fig9"], TINY, systems=TWO, grid=(10, 100))
     _check(tables, 2)
 
 
 def test_figure10_prepends_baseline_rate():
-    tables = figure10.run(TINY, systems=("Natto-RECSF",), rates=(100, 400))
+    tables = run(
+        ROWS["fig10"], TINY, systems=("Natto-RECSF",), grid=(100, 400)
+    )
     increase = tables["increase"].series["Natto-RECSF"]
     assert len(increase) == 2
     assert increase[0] == 0.0  # baseline point is its own reference
 
 
 def test_figure11_variances():
-    tables = figure11.run(TINY, systems=TWO, variances=(0.0, 15.0))
+    tables = run(ROWS["fig11"], TINY, systems=TWO, grid=(0.0, 15.0))
     _check(tables, 2)
 
 
 def test_figure12_losses():
-    tables = figure12.run(TINY, systems=TWO, loss_rates=(0.0, 1.0))
+    tables = run(ROWS["fig12"], TINY, systems=TWO, grid=(0.0, 1.0))
     _check(tables, 2)
 
 
 def test_figure13_hybrid():
-    tables = figure13.run(TINY, systems=TWO)
+    tables = run(ROWS["fig13"], TINY, systems=TWO)
     _check(tables, 1)
 
 
 def test_figure14_partitions():
-    tables = figure14.run(
-        TINY, systems=("Carousel Basic",), partitions=(2,)
-    )
+    tables = run(ROWS["fig14"], TINY, systems=("Carousel Basic",), grid=(2,))
     series = tables["throughput"].series["Carousel Basic"]
     assert len(series) == 1
     assert series[0] > 500  # committed load on 2 partitions

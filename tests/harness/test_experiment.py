@@ -6,9 +6,11 @@ import pytest
 
 from repro.harness import (
     ExperimentSettings,
+    PointSpec,
+    WorkloadSpec,
     make_system,
     run_experiment,
-    run_repeated,
+    run_point,
 )
 from repro.harness.systems import SYSTEM_FACTORIES
 from repro.txn.priority import Priority
@@ -105,13 +107,16 @@ def test_different_seeds_differ():
     assert run(1).p95_low_ms != run(2).p95_low_ms
 
 
-def test_run_repeated_aggregates_with_ci():
-    repeated = run_repeated(
-        lambda: make_system("Carousel Basic"),
-        lambda rng: YcsbTWorkload(rng, num_keys=10_000),
-        50,
-        FAST,
-        repeats=2,
+def test_run_point_aggregates_with_ci():
+    repeated = run_point(
+        PointSpec(
+            system="Carousel Basic",
+            x=50,
+            input_rate=50,
+            workload=WorkloadSpec.of(YcsbTWorkload, num_keys=10_000),
+            settings=FAST,
+            repeats=2,
+        )
     )
     mean, half = repeated.p95_low_ms()
     assert mean > 0

@@ -11,8 +11,7 @@ import pickle
 
 import pytest
 
-from repro.experiments.common import Scale, trace_label
-from repro.experiments import figure7
+from repro.experiments.exhibits import ROWS, Scale, run, trace_label
 from repro.harness.experiment import (
     ExperimentSettings,
     seed_schedule,
@@ -120,9 +119,9 @@ def test_run_points_serial_and_parallel_agree():
 
 
 def test_figure_sweep_tables_identical_at_any_job_count():
-    kwargs = dict(systems=("Carousel Basic", "Natto-RECSF"), rates=(50,))
-    serial = figure7.run_ycsbt(TINY, jobs=1, **kwargs)
-    parallel = figure7.run_ycsbt(TINY, jobs=4, **kwargs)
+    kwargs = dict(systems=("Carousel Basic", "Natto-RECSF"), grid=(50,))
+    serial = run(ROWS["fig7a"], TINY, jobs=1, **kwargs)
+    parallel = run(ROWS["fig7a"], TINY, jobs=4, **kwargs)
     assert serial.keys() == parallel.keys()
     for key in serial:
         assert serial[key].to_json() == parallel[key].to_json()
