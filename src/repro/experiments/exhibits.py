@@ -364,9 +364,10 @@ def run(
 
     ``systems`` and ``grid`` override the row's defaults.  ``trace_dir``
     turns tracing on and exports one ``.trace.jsonl`` per run into it.
-    Prints one line per point: its table values and ``failed=<k>/<n>``,
+    Prints one line per point: its table values, ``failed=<k>/<n>``,
     the transactions that used up their retry budget out of all
-    recorded, across the point's repetitions.
+    recorded, and ``probes=<p>/<m>``, the probe-lane messages out of
+    all network messages, each summed over the point's repetitions.
     """
     if isinstance(scale, str):
         scale = SCALES[scale]
@@ -407,11 +408,14 @@ def run(
             tables[table.key].add_point(name, *table.extract(result))
         records = [rec for rep in result.results for rec in rep.stats.records]
         failed = sum(rec.outcome is TxnOutcome.FAILED for rec in records)
+        probes = sum(rep.probe_messages for rep in result.results)
+        messages = sum(rep.messages for rep in result.results)
         values = " ".join(
             f"{table.key}={tables[table.key].series[name][-1]:.1f}"
             for table in measured
         )
-        print(f"[{name} @ {x}] {values} failed={failed}/{len(records)}")
+        print(f"[{name} @ {x}] {values} failed={failed}/{len(records)} "
+              f"probes={probes}/{messages}")
 
     if row.baseline is not None:
         for name, values in tables["high"].series.items():

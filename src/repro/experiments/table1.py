@@ -2,8 +2,11 @@
 
 In the paper this is measurement data (from Domino); in this repository
 it is the topology configuration — the "reproduction" verifies that the
-simulator's measured round trips match the configured matrix, probing
-through the real message path (including clock skew and service time).
+simulator's measured round trips match the configured matrix, probing on
+the network's probe lane.  The lane keeps everything a probe shares with
+protocol traffic: delay and loss draws, bandwidth-pipe bytes, per-pair
+FIFO order, fault routing, the target's CPU queue and its clock (skew
+included); it only skips the RPC objects.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ class FaultInjector:
         # the cluster's own streams, so adding/removing fault events
         # cannot perturb workload or delay-model sampling.
         self._rng = np.random.default_rng(np.random.SeedSequence((seed, 0xFA17)))
-        #: Consulted by Network._dispatch before calling route(); stays
+        #: Consulted by Network._route before calling route(); stays
         #: False whenever no network-affecting window is open.
         self.active = False
         self._net_open = 0
@@ -181,7 +181,7 @@ class FaultInjector:
                 self.active = False
 
     # ------------------------------------------------------------------
-    # Per-message consultation (called by Network._dispatch while active)
+    # Per-message consultation (called by Network._route while active)
 
     def route(
         self,

@@ -105,6 +105,10 @@ class ExperimentResult:
     #: JSON-able metrics/trace-volume snapshot taken at the end of the
     #: run (survives dropping ``obs``); None when tracing was off.
     obs_snapshot: Optional[dict] = None
+    #: Network messages sent in the run, and the probe-lane share of
+    #: them (the protocol/probe split); always on, tracing or not.
+    messages: int = 0
+    probe_messages: int = 0
 
     def p95_ms(
         self,
@@ -192,9 +196,12 @@ def run_experiment(
         snapshot = obs.snapshot()
         if settings.trace_dir is not None:
             _export_trace(obs, system.name, settings, input_rate)
+    network = cluster.network
     return ExperimentResult(
         system.name, stats, window, input_rate, system,
         obs=obs, obs_snapshot=snapshot,
+        messages=network.messages_sent,
+        probe_messages=network.probe_messages,
     )
 
 

@@ -10,7 +10,7 @@ and delivery additionally waits for the destination node's CPU (its
 :class:`~repro.cluster.node.ServiceModel`).  Intra-datacenter messages
 skip the bandwidth pipe (they do not cross the WAN link).
 
-Two primitives:
+Three primitives:
 
 * :meth:`Network.send` — one-way message; dispatched to
   ``handle_<method>`` if the destination defines it, else to
@@ -18,6 +18,17 @@ Two primitives:
 * :meth:`Network.call` — request/response RPC returning a
   :class:`~repro.sim.Future`.  The handler may return a plain value
   (respond now) or a Future (respond when it resolves).
+* :meth:`Network.probe` — the Domino probe lane
+  (:mod:`repro.net.probing`).  A probe has every effect on the rest of
+  the simulation that a ``call("probe")`` would have: the same delay
+  and loss draws, pipe bytes, fault routing, per-pair FIFO floor,
+  message and byte totals, and the same heap events (request arrival,
+  CPU admission at the target, clock read, reply arrival).  It skips
+  the RPC bookkeeping a probe never needs: no :class:`Message`, no
+  Future, no pending-call entry, no handler lookup, no ``Reply``.
+
+All three route through :meth:`Network._route`, the one place a
+message's arrival time is computed.
 
 Handlers receive ``(payload, src_name)``, where the payload is a declared
 :mod:`repro.net.payload` object read by attribute, and are looked up as
@@ -29,13 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cluster.node import Node
 from repro.net.delay import ConstantDelay, DelayModel
 from repro.net.loss import LossConfig, LossModel
-from repro.net.message import Message
-from repro.net.payload import Reply
+from repro.net.message import HEADER_BYTES, Message
+from repro.net.payload import Probe, ProbeReply, Reply
 from repro.net.topology import Topology
 from repro.sim import Future, Simulator
 
@@ -82,14 +93,12 @@ class _Pipe:
 _REPLY_METHOD: Dict[str, str] = {}
 
 
-def _txn_tag(message: Message) -> Optional[str]:
-    """The transaction-attempt id a message belongs to, if tagged.
-
-    Protocol payloads carry ``txn = "<txn_id>.<attempt>"``; replies and
-    infrastructure traffic (probes, Raft internals) are untagged and get
-    no per-message span — metrics still count them.
-    """
-    return getattr(message.payload, "txn", None)
+#: The probe lane's request as the target's CPU model sees it: the lane
+#: allocates no per-probe Message, and ``service_time_for`` is asked
+#: about this stand-in instead.  Its wire size is the request's.
+_PROBE_REQUEST = Message("probe", Probe(0.0), "", "")
+#: Wire size of a probe's reply, ``Reply(ProbeReply(server_time))``.
+_PROBE_REPLY_BYTES = HEADER_BYTES + Reply(ProbeReply(0.0)).wire_size
 
 
 class Network:
@@ -141,6 +150,9 @@ class Network:
         )
         self.messages_sent = 0
         self.bytes_sent = 0
+        #: Probe-lane messages (requests and replies) among
+        #: ``messages_sent``: the probe side of the protocol/probe split.
+        self.probe_messages = 0
 
     # ------------------------------------------------------------------
     # Registration
@@ -161,15 +173,40 @@ class Network:
     def send(self, src: Node, dst_name: str, method: str, payload: Any) -> None:
         """Fire-and-forget message."""
         message = Message(method, payload, src.name, dst_name)
-        self._dispatch(message)
+        dst = self._nodes[dst_name]
+        self._route(src, dst, message.wire_size, method, payload,
+                    partial(self._arrive, message, dst))
 
     def call(self, src: Node, dst_name: str, method: str, payload: Any) -> Future:
         """Request/response RPC; resolves with the handler's response."""
         message = Message(method, payload, src.name, dst_name)
         future = Future()
         self._pending_calls[message.msg_id] = future
-        self._dispatch(message)
+        dst = self._nodes[dst_name]
+        self._route(src, dst, message.wire_size, method, payload,
+                    partial(self._arrive, message, dst))
         return future
+
+    def probe(
+        self,
+        src: Node,
+        dst_name: str,
+        sent_clock: float,
+        on_sample: Callable[[str, float], None],
+    ) -> None:
+        """Probe ``dst_name``'s clock; report ``on_sample(dst_name, sample)``.
+
+        ``sample`` is the target's clock reading at handling time minus
+        ``sent_clock`` (the sender's reading at send time), delivered
+        when the reply arrives back at ``src``.  Nothing is reported for
+        a probe or reply lost to a blackhole.  The target must define
+        ``handle_probe`` (:class:`~repro.net.probing.ProbeTargetMixin`).
+        """
+        self.probe_messages += 1
+        dst = self._nodes[dst_name]
+        self._route(src, dst, _PROBE_REQUEST.wire_size, "probe", None,
+                    partial(self._probe_arrive, src, dst, sent_clock,
+                            on_sample))
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -188,17 +225,28 @@ class Network:
     # ------------------------------------------------------------------
     # Delivery machinery
 
-    def _dispatch(self, message: Message) -> None:
+    def _route(
+        self,
+        src: Node,
+        dst: Node,
+        size: int,
+        method: str,
+        payload: Any,
+        deliver: Callable[[], None],
+    ) -> None:
+        """Put one message on the wire and post ``deliver`` at its arrival.
+
+        Arrival is propagation (delay model) + retransmission penalty
+        (loss model) + (cross-DC only) bandwidth-pipe queueing, then
+        fault routing, then the per-pair FIFO floor.  ``payload`` is
+        read only by tracing: a ``txn`` attribute (``"<txn_id>.<attempt>"``
+        on protocol payloads) gets the message a span; replies and
+        infrastructure traffic (probes, Raft internals) are untagged and
+        only counted.
+        """
         sim = self.sim
-        obs = sim.obs
-        nodes = self._nodes
-        src = nodes[message.src]
-        dst = nodes[message.dst]
         self.messages_sent += 1
-        size = message.wire_size
         self.bytes_sent += size
-        # Delivery delay, inlined: propagation + retransmission penalty
-        # + (cross-DC only) bandwidth-pipe queueing.
         src_dc = src.datacenter
         dst_dc = dst.datacenter
         delay = self._sample_delay(src_dc, dst_dc)
@@ -211,26 +259,25 @@ class Network:
             delay += pipe.transmit(sim._now, size)
         faults = self._faults
         if faults is not None and faults.active:
-            routed = faults.route(
-                message.src, message.dst, src_dc, dst_dc, delay
-            )
+            routed = faults.route(src.name, dst.name, src_dc, dst_dc, delay)
             if routed is None:
                 # Blackhole: the only fault that vaporizes a packet.
                 self.messages_dropped += 1
+                obs = sim.obs
                 if obs.enabled:
                     obs.metrics.counter("net.messages_dropped").inc()
                     obs.tracer.event(
                         "drop",
-                        node=message.src,
-                        txn=_txn_tag(message),
-                        method=message.method,
-                        dst=message.dst,
+                        node=src.name,
+                        txn=getattr(payload, "txn", None),
+                        method=method,
+                        dst=dst.name,
                     )
                 return
             delay, fault_floor = routed
         else:
             fault_floor = 0.0
-        pair = (message.src, message.dst)
+        pair = (src.name, dst.name)
         last = self._last_arrival
         arrival = sim._now + delay
         if fault_floor > arrival:
@@ -239,22 +286,19 @@ class Network:
         if floor is not None and floor > arrival:
             arrival = floor
         last[pair] = arrival
+        obs = sim.obs
         if obs.enabled:
-            obs.metrics.counter("net.messages").inc(method=message.method)
-            obs.metrics.counter("net.bytes").inc(message.wire_size)
+            obs.metrics.counter("net.messages").inc(method=method)
+            obs.metrics.counter("net.bytes").inc(size)
             obs.metrics.histogram("net.delay").observe(
-                arrival - sim.now,
-                link=f"{src.datacenter}->{dst.datacenter}",
+                arrival - sim.now, link=f"{src_dc}->{dst_dc}"
             )
-            txn = _txn_tag(message)
+            txn = getattr(payload, "txn", None)
             if txn is not None:
                 obs.tracer.span(
-                    f"net:{message.method}",
-                    node=message.src,
-                    txn=txn,
-                    dst=message.dst,
+                    f"net:{method}", node=src.name, txn=txn, dst=dst.name,
                 ).finish(at=arrival)
-        sim.post_at(arrival, partial(self._arrive, message, dst))
+        sim.post_at(arrival, deliver)
 
     def _pipe(self, src_dc: str, dst_dc: str) -> _Pipe:
         key = (src_dc, dst_dc)
@@ -308,11 +352,40 @@ class Network:
         reply_method = _REPLY_METHOD.get(method)
         if reply_method is None:
             reply_method = _REPLY_METHOD[method] = method + ".reply"
+        payload = Reply(result)
         reply = Message(
             method=reply_method,
-            payload=Reply(result),
+            payload=payload,
             src=dst.name,
             dst=request.src,
             reply_to=request.msg_id,
         )
-        self._dispatch(reply)
+        src = self._nodes[request.src]
+        self._route(dst, src, reply.wire_size, reply_method, payload,
+                    partial(self._arrive, reply, src))
+
+    # ------------------------------------------------------------------
+    # Probe lane: the event shape of call("probe") without its objects
+
+    def _probe_arrive(self, src: Node, dst: Node, sent_clock: float,
+                      on_sample: Callable[[str, float], None]) -> None:
+        cost = dst.service_time_for(_PROBE_REQUEST)
+        if cost > 0.0:
+            cpu_delay = dst.service.admission_delay(cost)
+            if cpu_delay > 0:
+                self.sim.post(cpu_delay, partial(
+                    self._probe_handle, src, dst, sent_clock, on_sample
+                ))
+                return
+        self._probe_handle(src, dst, sent_clock, on_sample)
+
+    def _probe_handle(self, src: Node, dst: Node, sent_clock: float,
+                      on_sample: Callable[[str, float], None]) -> None:
+        # The reply is routed at the clock-read instant, as call() would
+        # route it.  The sample is computed here rather than on arrival
+        # (same operands, same float); the requester's CPU is not
+        # consulted on arrival, as a proxy's service time is zero.
+        sample = dst.handle_probe(None, src.name).server_time - sent_clock
+        self.probe_messages += 1
+        self._route(dst, src, _PROBE_REPLY_BYTES, "probe.reply", None,
+                    partial(on_sample, dst.name, sample))

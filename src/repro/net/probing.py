@@ -11,6 +11,12 @@ server, so a timestamp computed as ``client_now + estimate`` lands
 correctly on the *server's* clock even when clocks disagree — this is the
 trick Natto inherits from Domino for tolerating loose synchronization.
 
+Probes travel on the network's probe lane (:meth:`Network.probe`): the
+same delays, loss draws, pipe bytes, fault routing, FIFO floors and
+target CPU time as an RPC, without the RPC's per-message objects.  The
+window keeps its samples twice, in arrival order (for expiry) and
+sorted (for the percentile), so a query indexes instead of sorting.
+
 Clients do not probe; they read a :class:`ClientDelayView` that refreshes
 from the local proxy every ``refresh_interval`` seconds (the paper uses
 100 ms), so client estimates are slightly stale, as in the real system.
@@ -18,14 +24,14 @@ from the local proxy every ``refresh_interval`` seconds (the paper uses
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
-from typing import Deque, Dict, Iterable, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.node import Node
 from repro.net.network import Network
-from repro.net.payload import Probe, ProbeReply
+from repro.net.payload import ProbeReply
 from repro.sim import Simulator
 
 
@@ -44,7 +50,9 @@ class ProbeTargetMixin:
 
     The reply carries the server's clock reading at handling time; the
     proxy subtracts its own send-time clock reading to get a
-    skew-inclusive one-way delay sample.
+    skew-inclusive one-way delay sample.  The probe lane passes no
+    payload (``None``): the request's only field, the send time, stays
+    with the proxy.
     """
 
     def handle_probe(self, payload, src: str) -> ProbeReply:
@@ -70,10 +78,12 @@ class ProbeProxy(Node):
         self._interval = interval
         self._window = window
         self._percentile = percentile
-        # target -> deque of (sim_time, delay_sample)
+        # target -> deque of (sim_time, delay_sample), oldest first
         self._samples: Dict[str, Deque[Tuple[float, float]]] = {
             t: deque() for t in self._targets
         }
+        # target -> the same window's samples in ascending order
+        self._sorted: Dict[str, List[float]] = {t: [] for t in self._targets}
         network.register(self)
 
     def start(self) -> None:
@@ -84,37 +94,35 @@ class ProbeProxy(Node):
         if target not in self._samples:
             self._targets.append(target)
             self._samples[target] = deque()
+            self._sorted[target] = []
 
     def _probe_all(self) -> None:
+        probe, now, record = self._network.probe, self.clock.now, self._record
         for target in self._targets:
-            self._probe(target)
+            probe(self, target, now(), record)
         # The probe loop runs for the whole simulation and is never
         # cancelled, so it takes the kernel's timerless fast path.
         self.sim.post(self._interval, self._probe_all)
 
-    def _probe(self, target: str) -> None:
-        sent_clock = self.clock.now()
-        future = self._network.call(self, target, "probe", Probe(sent_clock))
-        future.add_done_callback(partial(self._record, target, sent_clock))
-
-    def _record(self, target: str, sent_clock: float, reply_future) -> None:
-        sample = reply_future.value.server_time - sent_clock
+    def _record(self, target: str, sample: float) -> None:
         window = self._samples[target]
+        values = self._sorted[target]
         now = self.sim._now
         window.append((now, sample))
+        insort(values, sample)
         cutoff = now - self._window
         while window and window[0][0] < cutoff:
-            window.popleft()
+            # Any copy of an equal float is the same sample to a query.
+            del values[bisect_left(values, window.popleft()[1])]
 
     # ------------------------------------------------------------------
     # Queries
 
     def estimate(self, target: str) -> Optional[float]:
         """p95 one-way delay (seconds, skew-inclusive) or None if no data."""
-        window = self._samples.get(target)
-        if not window:
+        values = self._sorted.get(target)
+        if not values:
             return None
-        values = sorted([sample for _, sample in window])
         index = min(
             len(values) - 1,
             int(len(values) * self._percentile / 100.0),

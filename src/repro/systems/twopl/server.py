@@ -114,7 +114,9 @@ class TwoPLParticipant(ProbeTargetMixin, RaftReplica):
         if request is None:
             return
         infos = []
-        for blocker in blockers:
+        # Sorted: set order follows string hashing (PYTHONHASHSEED), and
+        # wound order feeds the network's RNG draws.
+        for blocker in sorted(blockers):
             meta = self.txn_meta.get(blocker)
             if meta is None or blocker in self._wounded:
                 continue

@@ -72,13 +72,16 @@ def test_cli_rejects_an_unknown_system(capsys):
     assert "#####" not in captured.out
 
 
-def _result(outcomes):
+def _result(outcomes, messages=0, probe_messages=0):
     stats = StatsCollector()
     for i, outcome in enumerate(outcomes):
         stats.add(
             TxnRecord(f"t{i}", Priority.HIGH, "rmw", 1.0, 1.5, 0, outcome)
         )
-    return ExperimentResult("Natto-RECSF", stats, (0.0, 10.0), 1000.0)
+    return ExperimentResult(
+        "Natto-RECSF", stats, (0.0, 10.0), 1000.0,
+        messages=messages, probe_messages=probe_messages,
+    )
 
 
 def test_point_line_reports_failed_over_recorded(monkeypatch, capsys):
@@ -86,7 +89,10 @@ def test_point_line_reports_failed_over_recorded(monkeypatch, capsys):
     repeated = RepeatedResult(
         "Natto-RECSF",
         1000.0,
-        [_result([ok, failed, ok]), _result([failed, ok])],
+        [
+            _result([ok, failed, ok], messages=900, probe_messages=300),
+            _result([failed, ok], messages=100, probe_messages=40),
+        ],
     )
     monkeypatch.setattr(
         exhibits, "run_points", lambda specs, jobs=None: [repeated]
@@ -94,7 +100,7 @@ def test_point_line_reports_failed_over_recorded(monkeypatch, capsys):
     tables = run(ROWS["fig13"], TINY, systems=("Natto-RECSF",))
     assert tables["high"].value("Natto-RECSF", "hybrid") == 500.0
     assert capsys.readouterr().out.splitlines() == [
-        "[Natto-RECSF @ hybrid] high=500.0 failed=2/5"
+        "[Natto-RECSF @ hybrid] high=500.0 failed=2/5 probes=340/1000"
     ]
 
 

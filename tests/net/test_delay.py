@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net import ConstantDelay, ParetoDelay, UniformJitterDelay, azure_topology
+from repro.net.topology import hybrid_cloud_topology
 from repro.net.delay import make_delay_model, pareto_shape_for_cv
 
 
@@ -65,3 +66,34 @@ def test_make_delay_model_positive_variance_is_pareto():
 def test_invalid_cv_rejected():
     with pytest.raises(ValueError):
         pareto_shape_for_cv(0.0)
+
+
+class _ReferencePareto:
+    """ParetoDelay's per-message formula, recomputed on every draw."""
+
+    def __init__(self, topology, rng, cv):
+        self.topology, self.rng, self.cv = topology, rng, cv
+
+    def sample(self, src_dc, dst_dc):
+        base = self.topology.one_way(src_dc, dst_dc)
+        alpha = pareto_shape_for_cv(
+            self.cv * self.topology.jitter_multiplier(src_dc, dst_dc)
+        )
+        x_m = base * (alpha - 1.0) / alpha
+        return x_m * (1.0 + self.rng.pareto(alpha))
+
+
+@pytest.mark.parametrize("topology", [azure_topology(), hybrid_cloud_topology()],
+                         ids=["azure", "hybrid"])
+def test_memoized_pareto_draws_equal_the_per_message_formula(topology):
+    pairs = [(a, b) for a in topology.datacenters for b in topology.datacenters]
+    if topology.jitter_scale:
+        assert any(topology.jitter_multiplier(a, b) != 1.0 for a, b in pairs)
+    model = ParetoDelay(topology, np.random.default_rng(5), cv=0.2)
+    reference = _ReferencePareto(topology, np.random.default_rng(5), cv=0.2)
+    # Interleave the pairs in a shuffled order, many draws each, so the
+    # memo serves every pair mid-stream.
+    order = np.random.default_rng(6).integers(len(pairs), size=5000)
+    for index in order:
+        src, dst = pairs[index]
+        assert model.sample(src, dst) == reference.sample(src, dst)

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from repro.cluster import Clock, ClockConfig, Node
-from repro.net import Network, azure_topology
+from repro.faults import FaultInjector, FaultSchedule, blackhole, link_partition
+from repro.net import Network, NetworkConfig, azure_topology
 from repro.net.delay import ParetoDelay
+from repro.net.payload import declare
 from repro.net.probing import ClientDelayView, ProbeProxy, ProbeTargetMixin
+from repro.obs.core import Observability
 from repro.sim import Simulator
+
+Work = declare("Work")
 
 
 class Server(ProbeTargetMixin, Node):
-    pass
+    def handle_work(self, payload, src):
+        pass
 
 
 def build(delay_model=None, server_clock=None):
@@ -109,3 +115,164 @@ def test_add_target_starts_collecting():
     sim.run(until=1.0)
     assert proxy.estimate("s1") == pytest.approx(0.067 / 2, abs=0.002)
     assert proxy.estimate("s2") == pytest.approx(0.080 / 2, abs=0.002)
+
+
+# ----------------------------------------------------------------------
+# The incremental p95 window
+
+
+def test_incremental_window_matches_a_sort_per_query():
+    rng = np.random.default_rng(11)
+    topo = azure_topology()
+    sim = Simulator()
+    net = Network(sim, topo, delay_model=ParetoDelay(topo, rng, cv=0.2))
+    for name, dc in (("leader-sg", "SG"), ("leader-wa", "WA")):
+        net.register(Server(sim, name, dc))
+    proxy = ProbeProxy(sim, net, "VA", ["leader-sg"])
+    # An independent log of every sample, taken at the proxy's door.
+    log = {"leader-sg": [], "leader-wa": []}
+    record, estimates = proxy._record, proxy.estimates
+
+    def logged(target, sample):
+        log[target].append((sim.now, sample))
+        record(target, sample)
+
+    checked = []
+
+    def check():
+        for target, samples in log.items():
+            if not samples:
+                assert proxy.estimate(target) is None
+                continue
+            # The window is cut when a sample arrives: keep what the
+            # last arrival did not expire.
+            cutoff = samples[-1][0] - 1.0
+            window = [s for t, s in samples if t >= cutoff]
+            values = sorted(window)
+            expected = values[min(len(values) - 1, int(len(values) * 0.95))]
+            assert proxy.estimate(target) == expected
+            assert estimates()[target] == expected
+            summary = proxy.summary(target)
+            assert summary.p95 == expected
+            assert summary.samples == len(window)
+            assert summary.mean == sum(window) / len(window)
+            checked.append(target)
+
+    def checked_estimates():
+        check()
+        return estimates()
+
+    proxy._record = logged
+    # The client view queries the proxy at every refresh.
+    proxy.estimates = checked_estimates
+    view = ClientDelayView(sim, proxy, refresh_interval=0.1)
+    proxy.start()
+    sim.schedule(1.55, lambda: proxy.add_target("leader-wa"))
+    sim.run(until=4.5)
+    assert view.estimate("leader-wa") is not None
+    # Several full windows expired for both targets.
+    assert checked.count("leader-sg") >= 40
+    assert checked.count("leader-wa") >= 25
+
+
+# ----------------------------------------------------------------------
+# The probe lane: faults, CPU queueing and tracing
+
+ONE_WAY = azure_topology().one_way("VA", "SG")
+
+
+def lane_build(schedule=(), service_time=0.0):
+    sim = Simulator()
+    # Pure propagation delays: no pipe transmission time.
+    net = Network(sim, azure_topology(),
+                  config=NetworkConfig(model_bandwidth=False))
+    net.register(Server(sim, "leader-sg", "SG", service_time=service_time))
+    proxy = ProbeProxy(sim, net, "VA", ["leader-sg"])
+    FaultInjector(sim, net, FaultSchedule(tuple(schedule))).attach()
+    sent, samples = [], []
+    lane, record = net.probe, proxy._record
+
+    def sending(src, dst_name, sent_clock, on_sample):
+        sent.append(sim.now)
+        lane(src, dst_name, sent_clock, on_sample)
+
+    def recording(target, sample):
+        samples.append((sim.now, sample))
+        record(target, sample)
+
+    net.probe = sending
+    proxy._record = recording
+    return sim, net, proxy, sent, samples
+
+
+def test_blackholed_probes_are_dropped_and_sampling_resumes():
+    sim, net, proxy, sent, samples = lane_build(
+        [blackhole(1.005, 0.5, src="proxy-VA", dst="leader-sg")]
+    )
+    proxy.start()
+    sim.run(until=3.0)
+    inside = [t for t in sent if 1.005 <= t < 1.505]
+    assert len(inside) == 50
+    assert net.messages_dropped == len(inside)
+    sent_at = [t - 2 * ONE_WAY for t, _ in samples]
+    assert not [t for t in sent_at if 1.005 - 1e-9 < t < 1.505 + 1e-9]
+    assert [t for t in sent_at if t > 1.505]
+    assert all(s == pytest.approx(ONE_WAY) for _, s in samples)
+
+
+def test_partitioned_probes_are_held_until_heal():
+    sim, net, proxy, sent, samples = lane_build(
+        [link_partition(1.005, 0.5, "VA", "SG")]
+    )
+    proxy.start()
+    sim.run(until=3.0)
+    first_held = min(t for t in sent if t >= 1.005)
+    before = [s for t, s in samples if t < 1.505]
+    assert before and all(s == pytest.approx(ONE_WAY) for s in before)
+    # The oldest held probe reaches the leader at heal time, and its
+    # reply (sent after the heal) lands one one-way delay later.
+    held = [(t, s) for t, s in samples if s > 2 * ONE_WAY]
+    assert held[0] == pytest.approx((1.505 + ONE_WAY, 1.505 - first_held))
+    assert max(s for _, s in held) == held[0][1]
+    # Once the held backlog drains, samples are back to the base delay.
+    assert samples[-1][1] == pytest.approx(ONE_WAY)
+
+
+def test_probe_waits_behind_queued_one_way_work():
+    def first_sample(burst):
+        sim, net, proxy, sent, samples = lane_build(service_time=0.001)
+        worker = net.register(Node(sim, "worker-va", "VA"))
+        for _ in range(burst):
+            net.send(worker, "leader-sg", "work", Work())
+        proxy.start()
+        sim.run(until=0.3)
+        return samples[0][1]
+
+    idle = first_sample(0)
+    assert idle == pytest.approx(ONE_WAY + 0.001)
+    # Twenty 1 ms messages arrive just ahead of the probe.
+    assert first_sample(20) - idle == pytest.approx(0.020)
+
+
+def test_traced_lane_counts_probe_and_reply_messages():
+    sim, net, proxy, sent, samples = lane_build()
+    obs = Observability().attach(sim)
+    target = net.node("leader-sg")
+    handled = []
+
+    def counting(payload, src):
+        handled.append(src)
+        return Server.handle_probe(target, payload, src)
+
+    target.handle_probe = counting
+    proxy.start()
+    sim.run(until=1.0)
+    labeled = obs.metrics.counter("net.messages").labeled()
+    assert labeled == {
+        "method=probe": len(sent),
+        "method=probe.reply": len(handled),
+    }
+    assert len(handled) > 0 and len(sent) > len(handled)
+    assert net.probe_messages == net.messages_sent == len(sent) + len(handled)
+    assert obs.metrics.counter("net.bytes").value == net.bytes_sent
+    assert obs.metrics.histogram("net.delay").count == net.messages_sent

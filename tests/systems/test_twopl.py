@@ -1,6 +1,12 @@
 """Integration tests for the 2PL+2PC family."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.systems.carousel import CarouselBasic
 from repro.systems.twopl import (
@@ -115,3 +121,37 @@ def test_policy_names_match_paper_labels():
     assert TwoPL().name == "2PL+2PC"
     assert TwoPL(PreemptPolicy()).name == "2PL+2PC(P)"
     assert TwoPL(PreemptOnWaitPolicy()).name == "2PL+2PC(POW)"
+
+
+#: One 2PL+2PC(P) SmallBank point at 2500 txn/s: enough lock contention
+#: that some transactions are blocked by several holders at once, the
+#: case where wound order used to follow the set's hash order.
+_HASH_POINT = """
+from repro.harness.experiment import ExperimentSettings
+from repro.harness.parallel import PointSpec, WorkloadSpec, run_point
+from repro.verify.fingerprint import fingerprint_result
+from repro.workloads import SmallBankWorkload
+
+spec = PointSpec(
+    system="2PL+2PC(P)", x=2500, input_rate=2500.0,
+    workload=WorkloadSpec.of(
+        SmallBankWorkload, high_priority_types=frozenset({"send_payment"})
+    ),
+    settings=ExperimentSettings().scaled(duration=1.0, trim=0.25, drain=4.0),
+    repeats=1,
+)
+print(fingerprint_result(run_point(spec).results[0]))
+"""
+
+
+def test_wound_order_is_independent_of_string_hashing():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_POINT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
